@@ -11,7 +11,9 @@ bit-identical results across all three, a >= 10x event-over-tick
 speedup and a >= 10x batch-over-event speedup, saves the paper-style
 comparison under ``benchmarks/results/`` and writes machine-readable
 numbers to ``BENCH_cycle_engine.json`` at the repo root for
-``tools/perf_guard.py``.
+``tools/perf_guard.py``.  A second case times the stall path: a bounded
+J90 zipf scatter where back-pressure binds, so the event engine parks
+processors and the batch engine falls back to the event world.
 """
 
 import json
@@ -22,8 +24,10 @@ import numpy as np
 from conftest import run_once
 
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_SPACE, j90
+from repro.mapping.hashing import HASH_FAMILIES
 from repro.simulator import simulate_scatter_cycle
 from repro.workloads import hotspot
+from repro.workloads.patterns import zipf_pattern
 
 BENCH_JSON = pathlib.Path(__file__).parents[1] / "BENCH_cycle_engine.json"
 
@@ -105,6 +109,66 @@ def test_perf_cycle_engine(benchmark, save_result):
         "batch_speedup": round(batch_speedup, 2),
         "sim_cycles": float(event.time),
     }, indent=2) + "\n")
+
+
+BOUNDED_N = 4096
+BOUNDED_REPEATS = 7
+
+
+def test_perf_cycle_engine_bounded(benchmark, save_result):
+    """The stall path, shaped like the served cold-mix deck's bounded
+    entry: J90 with ``queue_capacity=8``, zipf (alpha 1.2) at n = 4096
+    through the ``h1`` hash map.  Back-pressure binds for most of the
+    run, so ``event`` parks processors behind full queues and ``batch``
+    fails its stall certificate and falls back to the event world.
+    Asserts bit-identity with ``tick`` and merges
+    ``event_bounded_seconds`` / ``batch_bounded_seconds`` into
+    ``BENCH_cycle_engine.json`` for ``tools/perf_guard.py``."""
+    machine = j90(queue_capacity=8)
+    addr = zipf_pattern(BOUNDED_N, 1 << 24, 1.2, seed=DEFAULT_SEED)
+    bank_map = HASH_FAMILIES["h1"](7)
+
+    _, tick = _best_of(1, simulate_scatter_cycle, machine, addr, bank_map,
+                       engine="tick")
+    event_s, event = _best_of(BOUNDED_REPEATS, simulate_scatter_cycle,
+                              machine, addr, bank_map, engine="event")
+    batch_s, batch = _best_of(BOUNDED_REPEATS, simulate_scatter_cycle,
+                              machine, addr, bank_map, engine="batch")
+    run_once(benchmark, simulate_scatter_cycle, machine, addr, bank_map,
+             engine="event")
+
+    assert tick.stalled_cycles > 0  # the stall path really ran
+    for fast in (event, batch):
+        assert fast.time == tick.time
+        assert (fast.bank_loads == tick.bank_loads).all()
+        assert fast.stalled_cycles == tick.stalled_cycles
+        assert fast.mean_wait == tick.mean_wait
+        assert fast.max_wait == tick.max_wait
+    assert event.telemetry is None and batch.telemetry is None
+
+    save_result("perf_cycle_engine_bounded", "\n".join([
+        "cycle engines on the stall path (zipf 1.2, h1 map, "
+        f"{machine.name}, queue_capacity=8, n={BOUNDED_N})",
+        "",
+        f"{'engine':<10} {'seconds':>10} {'sim cycles':>12} "
+        f"{'stalls':>10}",
+        f"{'event':<10} {event_s:>10.4f} {event.time:>12.0f} "
+        f"{event.stalled_cycles:>10.0f}",
+        f"{'batch':<10} {batch_s:>10.4f} {batch.time:>12.0f} "
+        f"{batch.stalled_cycles:>10.0f}",
+        "",
+        "bit-identical to the tick engine",
+    ]))
+
+    data = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.is_file() \
+        else {"benchmark": "cycle_engine", "machine": j90().name,
+              "n": N, "k": K, "telemetry": "off"}
+    data.update({
+        "bounded_n": BOUNDED_N,
+        "event_bounded_seconds": round(event_s, 6),
+        "batch_bounded_seconds": round(batch_s, 6),
+    })
+    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
 GRID_POINTS = 64

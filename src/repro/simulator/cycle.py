@@ -2,23 +2,26 @@
 
 Three engines compute the same machine, cycle for cycle:
 
-1. **event** (default) — a discrete-event engine that jumps between the
-   cycles where something can actually happen (an issue, an arrival, a
-   bank becoming free) instead of ticking through idle cycles.  Work is
-   O(events log events) — independent of how many cycles the machine
-   idles and of ``n_banks`` — which makes 64K-request sweeps cheap.
+1. **event** (default) — steps the one pausable event world of
+   :mod:`repro.simulator.world`, fed every request and run to
+   completion.  It executes only the cycles where something can happen
+   (an issue, an arrival, a bank becoming free, a parked processor's
+   retry) and jumps over idle spans, so its work is independent of how
+   many cycles the machine idles — which makes 64K-request sweeps
+   cheap.
 2. **tick** — the original explicit per-cycle loop, advancing one cycle
    at a time and scanning every bank each cycle.  It is kept as the
-   obviously-correct reference: the other engines are property-tested to
-   produce bit-identical :class:`~repro.simulator.stats.SimResult`\\ s
-   against it across every mode (unbounded queues, bounded queues with
-   stall accounting, combining, and the bank-cache extension).
+   obviously-correct, independent reference: the other engines are
+   property-tested to produce bit-identical
+   :class:`~repro.simulator.stats.SimResult`\\ s against it across
+   every mode (unbounded queues, bounded queues with stall accounting,
+   combining, and the bank-cache extension).
 3. **batch** (:mod:`repro.simulator.cycle_batch`) — numpy array stepping:
    it solves whole stall-free spans with the segmented-cummax kernel of
-   :mod:`repro.simulator.banksim` and falls back to exact event-style
-   scalar stepping only across spans where queue-full back-pressure
-   actually binds (a sound stall certificate decides which, so the
-   results stay bit-identical, not approximately close).
+   :mod:`repro.simulator.banksim` and hands the run to the same event
+   world only where queue-full back-pressure actually binds (a sound
+   stall certificate decides which, so the results stay bit-identical,
+   not approximately close).
 
 Both serve two purposes in the repo:
 
@@ -33,7 +36,7 @@ Both serve two purposes in the repo:
 All machine times (``g``, ``d``, ``latency``, ``L``) must be non-negative
 integers here; the simulated machine advances in whole cycles.
 
-Per-cycle sub-step order (identical in both engines): processors issue
+Per-cycle sub-step order (identical in every engine): processors issue
 (in processor-id order), in-flight requests arrive at queues, banks start
 service.  With ``latency = 0`` a request can therefore be issued and
 start service in the same cycle iff its bank is free — matching the
@@ -51,11 +54,12 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ..core.contention import BankMap
-from ..errors import ParameterError, SimulationError
+from ..errors import ParameterError
 from .machine import MachineConfig, require_machine
 from .request import Assignment, RequestBatch
-from .sanitize import check_superstep, sanitize_enabled
-from .stats import SimResult, SimTelemetry
+from .sanitize import sanitize_enabled
+from .stats import SimResult
+from .world import Acc, EventWorld, proc_rows, runaway_error
 
 __all__ = ["simulate_scatter_cycle"]
 
@@ -70,8 +74,8 @@ def _require_int(name: str, value: float) -> int:
 
 @dataclass
 class _Setup:
-    """Validated integer machine parameters plus the per-processor
-    request streams, shared by all engines."""
+    """Validated integer machine parameters plus the request arrays,
+    shared by all engines."""
 
     p: int
     n_banks: int
@@ -82,87 +86,31 @@ class _Setup:
     hit_delay: Optional[int]
     capacity: Optional[int]
     n: int
-    proc_reqs: List[deque]  # per processor: (bank, addr, alive) in order
     max_cycles: int
     telemetry: bool = False
     sanitize: bool = False
     h_p: int = 0  # max requests issued by one processor
     n_survivors: int = 0  # requests surviving combining to the banks
-    # Vectorized request arrays for the batch engine (which skips the
-    # per-request deque construction above; see _prepare(build_queues=)).
     batch: Optional[RequestBatch] = None
     banks: Optional[np.ndarray] = None
     survives: Optional[np.ndarray] = None
 
 
-class _Counters:
-    """Per-run telemetry accumulators shared by both engines.
-
-    Instantiated only when telemetry is requested; every engine touch
-    point is guarded so the counters cost nothing when off (the perf
-    gate in ``tools/perf_guard.py`` holds the hot path to that)."""
-
-    __slots__ = ("busy", "q_high", "proc_stalls")
-
-    def __init__(self, s: "_Setup") -> None:
-        self.busy = [0.0] * s.n_banks
-        self.q_high = [0] * s.n_banks
-        self.proc_stalls = [0] * s.p
+def _new_acc(s: _Setup) -> Acc:
+    """Accumulator for one run; the per-bank counters exist only when
+    telemetry or the sanitizer reads them (the perf gate in
+    ``tools/perf_guard.py`` holds the counter-free hot path to that)."""
+    return Acc(s.n_banks, s.p, s.telemetry or s.sanitize)
 
 
-def _make_telemetry(
-    c: _Counters, total_wait: int, stalled: int, last_finish: int
-) -> SimTelemetry:
-    return SimTelemetry(
-        bank_busy=np.asarray(c.busy, dtype=np.float64),
-        queue_high_water=np.asarray(c.q_high, dtype=np.int64),
-        stall_breakdown={
-            "bank_wait": float(total_wait),
-            "link_wait": 0.0,
-            "issue_backpressure": float(stalled),
-        },
-        proc_stalls=np.asarray(c.proc_stalls, dtype=np.int64),
-        makespan=float(last_finish),
-    )
-
-
-def _finish(
-    machine: MachineConfig,
-    s: _Setup,
-    engine: str,
-    bank_served: List[int],
-    total_wait: int,
-    max_wait: int,
-    stalled: int,
-    last_finish: int,
-    tele: Optional[_Counters],
-) -> SimResult:
+def _finish(machine: MachineConfig, s: _Setup, engine: str,
+            acc: Acc) -> SimResult:
     """Build the engine's :class:`SimResult` and, when sanitizing, check
     the conservation invariants.  Shared verbatim by all engines so the
     bit-identity property covers the epilogue by construction."""
-    result = SimResult(
-        time=float(last_finish + s.L),
-        n=s.n,
-        bank_loads=np.asarray(bank_served, dtype=np.int64),
-        max_wait=float(max_wait),
-        mean_wait=float(total_wait / s.n),
-        stalled_cycles=float(stalled),
-        machine_name=machine.name,
-        telemetry=(
-            _make_telemetry(tele, total_wait, stalled, last_finish)
-            if (tele is not None and s.telemetry) else None
-        ),
-    )
-    if s.sanitize and tele is not None:
-        check_superstep(
-            machine, result,
-            engine=engine,
-            h_p=s.h_p,
-            n_survivors=s.n_survivors,
-            bank_busy=np.asarray(tele.busy, dtype=np.float64),
-            queue_high_water=np.asarray(tele.q_high, dtype=np.int64),
-        )
-    return result
+    return acc.result(machine, s.n, s.L, telemetry=s.telemetry,
+                      sanitize=s.sanitize, engine=engine, h_p=s.h_p,
+                      n_survivors=s.n_survivors)
 
 
 def _prepare(
@@ -173,7 +121,6 @@ def _prepare(
     max_cycles: Optional[int],
     telemetry: bool = False,
     sanitize: bool = False,
-    build_queues: bool = True,
 ) -> _Setup:
     if machine.n_sections > 1 and machine.section_gap > 0:
         raise ParameterError(
@@ -201,8 +148,7 @@ def _prepare(
         return _Setup(
             p=machine.p, n_banks=n_banks, g=g, d=d, latency=latency, L=L,
             hit_delay=hit_delay, capacity=machine.queue_capacity, n=0,
-            proc_reqs=[], max_cycles=0, telemetry=telemetry,
-            sanitize=sanitize,
+            max_cycles=0, telemetry=telemetry, sanitize=sanitize,
         )
     if bank_map is None:
         banks = (batch.addresses % n_banks).astype(np.int64)
@@ -217,19 +163,6 @@ def _prepare(
         _, keep = np.unique(batch.addresses, return_index=True)
         survives[:] = False
         survives[keep] = True
-
-    # Per-processor request streams, in issue order.  The batch engine
-    # works on the arrays directly (build_queues=False): this O(n)
-    # Python loop would otherwise dominate its runtime, so it is paid
-    # only by the scalar engines (and lazily by the batch engine's
-    # back-pressure fallback).
-    proc_reqs: List[deque] = []
-    if build_queues:
-        proc_reqs = [deque() for _ in range(machine.p)]
-        for i in range(n):
-            proc_reqs[batch.proc[i]].append(
-                (int(banks[i]), int(batch.addresses[i]), bool(survives[i]))
-            )
 
     capacity = machine.queue_capacity  # None = unbounded
     if max_cycles is None:
@@ -246,7 +179,7 @@ def _prepare(
 
     return _Setup(
         p=machine.p, n_banks=n_banks, g=g, d=d, latency=latency, L=L,
-        hit_delay=hit_delay, capacity=capacity, n=n, proc_reqs=proc_reqs,
+        hit_delay=hit_delay, capacity=capacity, n=n,
         max_cycles=max_cycles, telemetry=telemetry, sanitize=sanitize,
         h_p=int(batch.per_processor_counts(machine.p).max()),
         n_survivors=int(survives.sum()),
@@ -254,23 +187,20 @@ def _prepare(
     )
 
 
-def _runaway(s: _Setup, completed: int, stalled: int) -> SimulationError:
-    return SimulationError(
-        f"cycle simulator exceeded {s.max_cycles} cycles with "
-        f"{s.n - completed} requests outstanding and {stalled} issue "
-        f"stalls accrued (deadlock or runaway; queue_capacity="
-        f"{s.capacity})"
-    )
-
-
 def _run_tick(machine: MachineConfig, s: _Setup) -> SimResult:
     """Reference engine: advance one cycle at a time, scanning all banks
     every cycle.  Slow but obviously correct."""
+    assert s.batch is not None and s.banks is not None
     n = s.n
     capacity = s.capacity
+    proc_reqs = [
+        deque(rows) for rows in proc_rows(
+            s.p, s.batch.proc, s.banks, s.batch.addresses, s.survives
+        )
+    ]
     queues: List[deque] = [deque() for _ in range(s.n_banks)]
     bank_free_at = [0] * s.n_banks  # earliest cycle bank may start a request
-    bank_last_addr = [None] * s.n_banks  # row buffer (cache extension)
+    bank_last_addr = [-1] * s.n_banks  # row buffer (cache extension)
     bank_served = [0] * s.n_banks
     next_issue = [0] * s.p
     in_flight: list = []  # heap of (arrival_cycle, seq, bank, addr)
@@ -280,23 +210,25 @@ def _run_tick(machine: MachineConfig, s: _Setup) -> SimResult:
     total_wait = 0
     max_wait = 0
     stalled = 0
-    tele = _Counters(s) if (s.telemetry or s.sanitize) else None
+    busy = [0] * s.n_banks
+    q_high = [0] * s.n_banks
+    proc_stalls = [0] * s.p
 
     t = 0
     while completed < n:
         if t > s.max_cycles:
-            raise _runaway(s, completed, stalled)
+            raise runaway_error(s.max_cycles, n - completed, stalled,
+                                capacity)
         # 1. Processors issue, in processor-id order.
         for q in range(s.p):
-            if s.proc_reqs[q] and next_issue[q] <= t:
-                bank, req_addr, alive = s.proc_reqs[q][0]
+            if proc_reqs[q] and next_issue[q] <= t:
+                bank, req_addr, alive = proc_reqs[q][0]
                 if alive and capacity is not None \
                         and len(queues[bank]) >= capacity:
                     stalled += 1
-                    if tele is not None:
-                        tele.proc_stalls[q] += 1
+                    proc_stalls[q] += 1
                     continue  # retry next cycle; next_issue unchanged
-                s.proc_reqs[q].popleft()
+                proc_reqs[q].popleft()
                 if alive:
                     heapq.heappush(
                         in_flight, (t + s.latency, seq, bank, req_addr)
@@ -311,8 +243,7 @@ def _run_tick(machine: MachineConfig, s: _Setup) -> SimResult:
         while in_flight and in_flight[0][0] <= t:
             arr, _, bank, req_addr = heapq.heappop(in_flight)
             queues[bank].append((arr, req_addr))
-            if tele is not None and len(queues[bank]) > tele.q_high[bank]:
-                tele.q_high[bank] = len(queues[bank])
+            q_high[bank] = max(q_high[bank], len(queues[bank]))
         # 3. Banks start service.
         for bank in range(s.n_banks):
             if queues[bank] and bank_free_at[bank] <= t:
@@ -326,167 +257,35 @@ def _run_tick(machine: MachineConfig, s: _Setup) -> SimResult:
                 bank_last_addr[bank] = req_addr
                 bank_free_at[bank] = t + cost
                 bank_served[bank] += 1
-                if tele is not None:
-                    tele.busy[bank] += cost
+                busy[bank] += cost
                 finish = t + cost
                 last_finish = max(last_finish, finish)
                 completed += 1
         t += 1
 
-    return _finish(machine, s, "tick", bank_served, total_wait, max_wait,
-                   stalled, last_finish, tele)
+    acc = _new_acc(s)
+    acc.completed, acc.total_wait, acc.max_wait = completed, total_wait, \
+        max_wait
+    acc.stalled, acc.last_finish = stalled, last_finish
+    acc.fold(bank_served, busy, q_high, proc_stalls)
+    return _finish(machine, s, "tick", acc)
+
+
+def _world(s: _Setup) -> EventWorld:
+    """An event world for this setup, fed every request."""
+    assert s.batch is not None and s.banks is not None
+    world = EventWorld(s.p, s.n_banks, s.g, s.d, s.latency, s.hit_delay,
+                       s.capacity)
+    world.feed(s.batch.proc, s.banks, s.batch.addresses, s.survives)
+    return world
 
 
 def _run_event(machine: MachineConfig, s: _Setup) -> SimResult:
-    """Event-driven engine: process only the cycles where state can
-    change, jumping over idle spans.
-
-    Event sources and their heaps:
-
-    * ``issue_heap`` — ``(next_issue, q)`` for every processor with
-      pending requests that is not currently back-pressure blocked;
-    * ``in_flight`` — ``(arrival, seq, bank, addr)`` network transits;
-    * ``bank_heap`` — ``(ready_cycle, bank)`` service opportunities,
-      pushed lazily whenever a bank is touched (arrival or service) and
-      validated on pop, so stale duplicates are harmless.
-
-    Blocked processors schedule no events of their own: their queue can
-    only gain space at a service event, so they retry at ``t + 1`` after
-    any cycle that served a request, and the stalls they would have
-    accrued over a jumped span are added in closed form
-    (``len(blocked) * span``).  Every processed cycle runs the exact
-    per-cycle body of the tick engine, which is what makes the two
-    engines bit-identical rather than merely close.
-    """
-    n = s.n
-    capacity = s.capacity
-    queues: List[deque] = [deque() for _ in range(s.n_banks)]
-    bank_free_at = [0] * s.n_banks
-    bank_last_addr = [None] * s.n_banks
-    bank_served = [0] * s.n_banks
-    next_issue = [0] * s.p
-    in_flight: list = []
-    issue_heap: list = [(0, q) for q in range(s.p) if s.proc_reqs[q]]
-    bank_heap: list = []  # (ready_cycle, bank), lazily validated
-    blocked: List[int] = []  # processors stalled on a full queue
-    seq = 0
-    completed = 0
-    last_finish = 0
-    total_wait = 0
-    max_wait = 0
-    stalled = 0
-    tele = _Counters(s) if (s.telemetry or s.sanitize) else None
-
-    heappush, heappop = heapq.heappush, heapq.heappop
-    t = 0
-    while completed < n:
-        if t > s.max_cycles:
-            raise _runaway(s, completed, stalled)
-
-        # 1. Processors issue, in processor-id order: everyone whose
-        # issue event is due plus everyone blocked (their retry is due
-        # every cycle by construction).
-        ready: List[int] = []
-        while issue_heap and issue_heap[0][0] <= t:
-            ready.append(heappop(issue_heap)[1])
-        if blocked:
-            ready.extend(blocked)
-            blocked = []
-        ready.sort()
-        for q in ready:
-            bank, req_addr, alive = s.proc_reqs[q][0]
-            if alive and capacity is not None \
-                    and len(queues[bank]) >= capacity:
-                stalled += 1
-                if tele is not None:
-                    tele.proc_stalls[q] += 1
-                blocked.append(q)
-                continue  # retry next cycle; next_issue unchanged
-            s.proc_reqs[q].popleft()
-            if alive:
-                heappush(in_flight, (t + s.latency, seq, bank, req_addr))
-            else:
-                last_finish = max(last_finish, t + s.latency)
-                completed += 1
-            seq += 1
-            next_issue[q] = t + s.g
-            if s.proc_reqs[q]:
-                heappush(issue_heap, (t + s.g, q))
-
-        # 2. Deliver arrivals due this cycle.  Schedule the bank only on
-        # an empty -> nonempty transition: a nonempty queue always has
-        # exactly one live entry in bank_heap (kept alive by the serve
-        # loop below), so further arrivals must not add duplicates —
-        # they would each be re-pushed at every serve event, degrading a
-        # hot bank to O(n^2) heap traffic.
-        while in_flight and in_flight[0][0] <= t:
-            arr, _, bank, req_addr = heappop(in_flight)
-            queues[bank].append((arr, req_addr))
-            if tele is not None and len(queues[bank]) > tele.q_high[bank]:
-                tele.q_high[bank] = len(queues[bank])
-            if len(queues[bank]) == 1:
-                heappush(bank_heap, (max(bank_free_at[bank], t), bank))
-
-        # 3. Banks start service (order across banks is immaterial: the
-        # aggregates are sums and maxes and each bank owns its queue).
-        served_any = False
-        while bank_heap and bank_heap[0][0] <= t:
-            _, bank = heappop(bank_heap)
-            if not queues[bank]:
-                continue  # stale entry; rescheduled on next arrival
-            if bank_free_at[bank] > t:
-                heappush(bank_heap, (bank_free_at[bank], bank))
-                continue
-            arr, req_addr = queues[bank].popleft()
-            wait = t - arr
-            total_wait += wait
-            if wait > max_wait:
-                max_wait = wait
-            cost = s.d
-            if s.hit_delay is not None and bank_last_addr[bank] == req_addr:
-                cost = s.hit_delay
-            bank_last_addr[bank] = req_addr
-            bank_free_at[bank] = t + cost
-            bank_served[bank] += 1
-            if tele is not None:
-                tele.busy[bank] += cost
-            if t + cost > last_finish:
-                last_finish = t + cost
-            completed += 1
-            served_any = True
-            if queues[bank]:
-                heappush(bank_heap, (t + cost, bank))
-
-        if completed >= n:
-            break
-
-        # Jump to the next cycle where anything can change.
-        t_next = s.max_cycles + 1
-        if issue_heap and issue_heap[0][0] < t_next:
-            t_next = issue_heap[0][0]
-        if in_flight and in_flight[0][0] < t_next:
-            t_next = in_flight[0][0]
-        if bank_heap and bank_heap[0][0] < t_next:
-            t_next = bank_heap[0][0]
-        if blocked and served_any and t + 1 < t_next:
-            t_next = t + 1  # freed queue space: blocked issues may go
-        if t_next <= t:
-            raise SimulationError(
-                "event engine scheduled a non-advancing event "
-                f"(t={t}, t_next={t_next}); this is a bug"
-            )
-        if blocked:
-            # Stalls the tick engine would have counted on the skipped
-            # cycles (state cannot change between events, so every
-            # blocked processor stays blocked across the whole span).
-            stalled += len(blocked) * (t_next - t - 1)
-            if tele is not None:
-                for q in blocked:
-                    tele.proc_stalls[q] += t_next - t - 1
-        t = t_next
-
-    return _finish(machine, s, "event", bank_served, total_wait, max_wait,
-                   stalled, last_finish, tele)
+    """Event engine: the shared event world, fed every request and run
+    to completion."""
+    acc = _new_acc(s)
+    _world(s).run(acc, s.max_cycles)
+    return _finish(machine, s, "event", acc)
 
 
 def _run_batch(machine: MachineConfig, s: _Setup) -> SimResult:
@@ -547,21 +346,7 @@ def simulate_scatter_cycle(
             f"{sorted(_ENGINES)}"
         ) from None
     s = _prepare(machine, addresses, bank_map, assignment, max_cycles,
-                 telemetry, sanitize=sanitize_enabled(sanitize),
-                 build_queues=(engine != "batch"))
+                 telemetry, sanitize=sanitize_enabled(sanitize))
     if s.n == 0:
-        result = SimResult(
-            time=float(s.L), n=0,
-            bank_loads=np.zeros(s.n_banks, dtype=np.int64),
-            machine_name=machine.name,
-            telemetry=(
-                _make_telemetry(_Counters(s), 0, 0, 0)
-                if telemetry else None
-            ),
-        )
-        if s.sanitize:
-            check_superstep(
-                machine, result, engine=engine, h_p=0, n_survivors=0,
-            )
-        return result
+        return _finish(machine, s, engine, _new_acc(s))
     return run(machine, s)

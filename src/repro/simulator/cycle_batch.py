@@ -19,19 +19,22 @@ the machine in *spans* and solves each span with numpy array stepping:
    request at once.  If no projected issue sees depth >= capacity, the
    projection *is* the bounded run — commit it wholesale.  Otherwise
    the earliest offender ``t_stall`` is exact: the first real stall.
-3. **Fall back, then re-enter.** When back-pressure binds, an exact
-   resumable port of the event engine steps from the current state
-   until either completion or a *quiescent* cycle ``t >= t_stall``
-   (all queues empty, nothing in flight, nobody blocked).  At
-   quiescence every pending processor's next issue lies strictly in
-   the future, so the remaining requests re-project from the seeded
-   kernels and the loop repeats.  Each scalar chunk strictly passes at
-   least one real stall burst, so the alternation terminates; in the
-   worst case (back-pressure never quiesces) the engine degrades to a
-   single scalar run — i.e. to the event engine.
+3. **Fall back, then re-enter.** When back-pressure binds, the shared
+   event world of :mod:`repro.simulator.world` (the ``engine="event"``
+   stepper itself) is fed every request and replays the run from cycle
+   0 — exact, since nothing was committed — until either completion or
+   a *quiescent* cycle ``t >= t_stall`` (all queues empty, nothing in
+   flight, nobody blocked).  At quiescence every pending processor's
+   next issue lies strictly in the future, so the world exports the
+   remaining requests, they re-project from the seeded kernels and the
+   loop repeats, resuming the same world if the next certificate fails.
+   Each event chunk strictly passes at least one real stall burst, so
+   the alternation terminates; in the worst case (back-pressure never
+   quiesces) the engine degrades to a single event-world run — i.e. to
+   the event engine.
 
-Every committed span is exact and the scalar chunks reuse the event
-engine's cycle body verbatim, so the engine is **bit-identical** to
+Every committed span is exact and the fallback *is* the event engine's
+stepper, so the engine is **bit-identical** to
 ``engine="event"``/``"tick"`` — property-tested, including telemetry.
 Stall-free workloads (the paper's unbounded-queue machines) never leave
 step 1 and run at vectorized-``banksim`` speed.
@@ -39,78 +42,35 @@ step 1 and run at vectorized-``banksim`` speed.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from ..core.contention import BankMap
-from ..errors import SimulationError
 from .banksim import (
     _queue_high_water,
     fifo_service_times,
     fifo_service_times_cached,
 )
-from .cycle import _finish, _runaway, _Setup, simulate_scatter_cycle
+from .cycle import _finish, _new_acc, _Setup, _world, simulate_scatter_cycle
 from .machine import MachineConfig
 from .request import Assignment
 from .stats import SimResult
+from .world import Acc, runaway_error
 
 __all__ = ["simulate_scatter_batch"]
 
 
-class _Work:
+class _Work(NamedTuple):
     """Remaining requests, in engine issue order (issue cycle, then
-    processor id — the order the scalar engines would issue them)."""
+    processor id — the order the event world would issue them)."""
 
-    __slots__ = ("issue", "proc", "bank", "addr", "alive")
-
-    def __init__(
-        self,
-        issue: np.ndarray,
-        proc: np.ndarray,
-        bank: np.ndarray,
-        addr: np.ndarray,
-        alive: np.ndarray,
-    ) -> None:
-        self.issue = issue
-        self.proc = proc
-        self.bank = bank
-        self.addr = addr
-        self.alive = alive
-
-
-class _BatchCounters:
-    """Array-backed telemetry accumulators, duck-typed like
-    :class:`repro.simulator.cycle._Counters` (consumed by ``_finish``)."""
-
-    __slots__ = ("busy", "q_high", "proc_stalls")
-
-    def __init__(self, s: _Setup) -> None:
-        self.busy = np.zeros(s.n_banks, dtype=np.float64)
-        self.q_high = np.zeros(s.n_banks, dtype=np.int64)
-        self.proc_stalls = np.zeros(s.p, dtype=np.int64)
-
-
-class _Acc:
-    """Result aggregates folded across vectorized spans and scalar
-    chunks (sums for loads/waits/busy/stalls, maxes for the rest)."""
-
-    __slots__ = ("bank_served", "total_wait", "max_wait", "stalled",
-                 "last_finish", "completed", "tele")
-
-    def __init__(self, s: _Setup) -> None:
-        self.bank_served = np.zeros(s.n_banks, dtype=np.int64)
-        self.total_wait = 0
-        self.max_wait = 0
-        self.stalled = 0
-        self.last_finish = 0
-        self.completed = 0
-        self.tele = (
-            _BatchCounters(s) if (s.telemetry or s.sanitize) else None
-        )
+    issue: np.ndarray
+    proc: np.ndarray
+    bank: np.ndarray
+    addr: np.ndarray
+    alive: np.ndarray
 
 
 def _first_stall(
@@ -208,7 +168,7 @@ def _project(
     return None, (arrival, start, cost, a_bank, absorbed)
 
 
-def _commit(s: _Setup, acc: _Acc, payload: tuple) -> None:
+def _commit(s: _Setup, acc: Acc, payload: tuple) -> None:
     """Fold a certified projection into the accumulators (raising the
     same runaway diagnostic the scalar engines would)."""
     arrival, start, cost, a_bank, absorbed = payload
@@ -225,7 +185,8 @@ def _commit(s: _Setup, acc: _Acc, payload: tuple) -> None:
             done += int((start <= s.max_cycles).sum())
         if absorbed.size:
             done += int((absorbed <= s.max_cycles).sum())
-        raise _runaway(s, done, acc.stalled)
+        raise runaway_error(s.max_cycles, s.n - done, acc.stalled,
+                            s.capacity)
 
     if start.size:
         waits = start - arrival
@@ -239,18 +200,18 @@ def _commit(s: _Setup, acc: _Acc, payload: tuple) -> None:
             acc.last_finish = f
         acc.bank_served += np.bincount(a_bank, minlength=s.n_banks)
         acc.completed += int(start.size)
-        if acc.tele is not None:
+        if acc.busy is not None and acc.q_high is not None:
             per_cost = (
                 cost if cost is not None
                 else np.full(start.size, float(s.d))
             )
-            acc.tele.busy += np.bincount(
+            acc.busy += np.bincount(
                 a_bank, weights=per_cost, minlength=s.n_banks
             )
             np.maximum(
-                acc.tele.q_high,
+                acc.q_high,
                 _queue_high_water(arrival, start, a_bank, s.n_banks),
-                out=acc.tele.q_high,
+                out=acc.q_high,
             )
     if absorbed.size:
         # Combined-away requests complete when their representative's
@@ -262,221 +223,32 @@ def _commit(s: _Setup, acc: _Acc, payload: tuple) -> None:
 
 
 class _Scalar:
-    """Resumable port of :func:`repro.simulator.cycle._run_event`.
+    """The batch engine's handle on the shared event world: fed every
+    request on the first certificate miss, stepped to quiescence past
+    each ``t_stall``, and exported for re-projection."""
 
-    The cycle body is kept verbatim (that is what makes the fallback
-    bit-identical); the differences are that counters accumulate into
-    the shared :class:`_Acc` and that the loop can *pause* at a
-    quiescent cycle and later resume, with the machine state held on
-    the instance between chunks.
-    """
+    __slots__ = ("world",)
 
     def __init__(self, s: _Setup) -> None:
-        # The batch path skipped _prepare's deque construction; pay the
-        # O(n) Python loop only here, on the back-pressure fallback.
-        proc_reqs: List[deque] = [deque() for _ in range(s.p)]
-        banks, addrs = s.banks, s.batch.addresses
-        procs, survives = s.batch.proc, s.survives
-        for i in range(s.n):
-            proc_reqs[procs[i]].append(
-                (int(banks[i]), int(addrs[i]), bool(survives[i]))
-            )
-        self.proc_reqs = proc_reqs
-        self.queues: List[deque] = [deque() for _ in range(s.n_banks)]
-        self.bank_free_at = [0] * s.n_banks
-        self.bank_last_addr: List[Optional[int]] = [None] * s.n_banks
-        self.next_issue = [0] * s.p
-        self.in_flight: list = []
-        self.issue_heap: list = [
-            (0, q) for q in range(s.p) if proc_reqs[q]
-        ]
-        self.bank_heap: list = []
-        self.blocked: List[int] = []
-        self.seq = 0
-        self.queued = 0  # requests sitting in bank queues (O(1) quiescence)
-        self.t = 0
+        self.world = _world(s)
 
-    def run(self, s: _Setup, acc: _Acc, t_stall: int) -> bool:
+    def run(self, s: _Setup, acc: Acc, t_stall: int) -> bool:
         """Step until completion (``True``) or until the machine goes
         quiescent at a cycle ``>= t_stall`` (``False``), i.e. safely
         past the span where the projection's certificate failed."""
-        heappush, heappop = heapq.heappush, heapq.heappop
-        n = s.n
-        capacity = s.capacity
-        proc_reqs = self.proc_reqs
-        queues = self.queues
-        bank_free_at = self.bank_free_at
-        bank_last_addr = self.bank_last_addr
-        next_issue = self.next_issue
-        in_flight = self.in_flight
-        issue_heap = self.issue_heap
-        bank_heap = self.bank_heap
-        blocked = self.blocked
-        tele = acc.tele
-        t = self.t
-        while True:
-            if t > s.max_cycles:
-                raise _runaway(s, acc.completed, acc.stalled)
+        return self.world.run(acc, s.max_cycles, t_stall=t_stall)
 
-            # 1. Processors issue, in processor-id order.
-            ready: List[int] = []
-            while issue_heap and issue_heap[0][0] <= t:
-                ready.append(heappop(issue_heap)[1])
-            if blocked:
-                ready.extend(blocked)
-                blocked = []
-            ready.sort()
-            for q in ready:
-                bank, req_addr, alive = proc_reqs[q][0]
-                if alive and capacity is not None \
-                        and len(queues[bank]) >= capacity:
-                    acc.stalled += 1
-                    if tele is not None:
-                        tele.proc_stalls[q] += 1
-                    blocked.append(q)
-                    continue  # retry next cycle; next_issue unchanged
-                proc_reqs[q].popleft()
-                if alive:
-                    heappush(
-                        in_flight, (t + s.latency, self.seq, bank, req_addr)
-                    )
-                else:
-                    if t + s.latency > acc.last_finish:
-                        acc.last_finish = t + s.latency
-                    acc.completed += 1
-                self.seq += 1
-                next_issue[q] = t + s.g
-                if proc_reqs[q]:
-                    heappush(issue_heap, (t + s.g, q))
-
-            # 2. Deliver arrivals due this cycle.
-            while in_flight and in_flight[0][0] <= t:
-                arr, _, bank, req_addr = heappop(in_flight)
-                queues[bank].append((arr, req_addr))
-                self.queued += 1
-                if tele is not None and len(queues[bank]) > tele.q_high[bank]:
-                    tele.q_high[bank] = len(queues[bank])
-                if len(queues[bank]) == 1:
-                    heappush(bank_heap, (max(bank_free_at[bank], t), bank))
-
-            # 3. Banks start service.
-            served_any = False
-            while bank_heap and bank_heap[0][0] <= t:
-                _, bank = heappop(bank_heap)
-                if not queues[bank]:
-                    continue  # stale entry; rescheduled on next arrival
-                if bank_free_at[bank] > t:
-                    heappush(bank_heap, (bank_free_at[bank], bank))
-                    continue
-                arr, req_addr = queues[bank].popleft()
-                self.queued -= 1
-                wait = t - arr
-                acc.total_wait += wait
-                if wait > acc.max_wait:
-                    acc.max_wait = wait
-                cost = s.d
-                if s.hit_delay is not None and bank_last_addr[bank] == req_addr:
-                    cost = s.hit_delay
-                bank_last_addr[bank] = req_addr
-                bank_free_at[bank] = t + cost
-                acc.bank_served[bank] += 1
-                if tele is not None:
-                    tele.busy[bank] += cost
-                if t + cost > acc.last_finish:
-                    acc.last_finish = t + cost
-                acc.completed += 1
-                served_any = True
-                if queues[bank]:
-                    heappush(bank_heap, (t + cost, bank))
-
-            if acc.completed >= n:
-                self.t = t
-                self.blocked = blocked
-                return True
-            if self.queued == 0 and not in_flight and not blocked \
-                    and t >= t_stall:
-                # Quiescent past the binding span: every pending
-                # processor's next issue is strictly in the future, so
-                # the remaining requests can re-project vectorized.
-                self.t = t
-                self.blocked = blocked
-                return False
-
-            # Jump to the next cycle where anything can change.
-            t_next = s.max_cycles + 1
-            if issue_heap and issue_heap[0][0] < t_next:
-                t_next = issue_heap[0][0]
-            if in_flight and in_flight[0][0] < t_next:
-                t_next = in_flight[0][0]
-            if bank_heap and bank_heap[0][0] < t_next:
-                t_next = bank_heap[0][0]
-            if blocked and served_any and t + 1 < t_next:
-                t_next = t + 1  # freed queue space: blocked issues may go
-            if t_next <= t:
-                raise SimulationError(
-                    "batch engine's scalar stepper scheduled a "
-                    f"non-advancing event (t={t}, t_next={t_next}); "
-                    "this is a bug"
-                )
-            if blocked:
-                acc.stalled += len(blocked) * (t_next - t - 1)
-                if tele is not None:
-                    for q in blocked:
-                        tele.proc_stalls[q] += t_next - t - 1
-            t = t_next
-
-    def export(
-        self, s: _Setup
-    ) -> Tuple[_Work, np.ndarray, Optional[np.ndarray]]:
-        """Remaining requests as projection inputs.
-
-        Processor ``q``'s ``j``-th pending request issues at
-        ``next_issue[q] + j*g`` (exact: at quiescence nobody is blocked,
-        so the issue pipeline runs at full rate until the next stall —
-        which the next certificate will find if it exists).  Banks carry
-        their free-at floors and row-buffer seeds across the seam.
-        """
-        issue_l: List[int] = []
-        proc_l: List[int] = []
-        bank_l: List[int] = []
-        addr_l: List[int] = []
-        alive_l: List[bool] = []
-        g = s.g
-        for q in range(s.p):
-            dq = self.proc_reqs[q]
-            if not dq:
-                continue
-            t0 = self.next_issue[q]
-            for j, (bank, addr, alive) in enumerate(dq):
-                issue_l.append(t0 + j * g)
-                proc_l.append(q)
-                bank_l.append(bank)
-                addr_l.append(addr)
-                alive_l.append(alive)
-        issue = np.asarray(issue_l, dtype=np.float64)
-        proc = np.asarray(proc_l, dtype=np.int64)
-        order = np.lexsort((proc, issue))
-        work = _Work(
-            issue=issue[order],
-            proc=proc[order],
-            bank=np.asarray(bank_l, dtype=np.int64)[order],
-            addr=np.asarray(addr_l, dtype=np.int64)[order],
-            alive=np.asarray(alive_l, dtype=bool)[order],
-        )
-        floors = np.asarray(self.bank_free_at, dtype=np.float64)
-        last_addr = None
-        if s.hit_delay is not None:
-            last_addr = np.asarray(
-                [-1 if a is None else a for a in self.bank_last_addr],
-                dtype=np.int64,
-            )
-        return work, floors, last_addr
+    def export(self, s: _Setup) -> Tuple[_Work, np.ndarray, np.ndarray]:
+        """Remaining requests, bank floors and row-buffer seeds as
+        projection inputs (see :meth:`EventWorld.export`)."""
+        work, floors, last_addr = self.world.export()
+        return _Work(*work), floors, last_addr
 
 
 def run_batch(machine: MachineConfig, s: _Setup) -> SimResult:
     """Engine body invoked by :func:`~repro.simulator.cycle.
     simulate_scatter_cycle` with ``engine="batch"``."""
-    acc = _Acc(s)
+    acc = _new_acc(s)
     assert s.batch is not None and s.banks is not None \
         and s.survives is not None
     work = _Work(
@@ -500,8 +272,7 @@ def run_batch(machine: MachineConfig, s: _Setup) -> SimResult:
         if scalar.run(s, acc, t_stall):
             break
         work, floors, last_addr = scalar.export(s)
-    return _finish(machine, s, "batch", acc.bank_served, acc.total_wait,
-                   acc.max_wait, acc.stalled, acc.last_finish, acc.tele)
+    return _finish(machine, s, "batch", acc)
 
 
 def simulate_scatter_batch(

@@ -28,7 +28,7 @@ point**:
    (property-tested, telemetry included).
 
 Certified rows are committed through the batch engine's own
-``_Acc``/``_commit``/``_finish`` machinery, so aggregation, runaway
+``Acc``/``_commit``/``_finish`` machinery, so aggregation, runaway
 diagnostics and sanitizer coverage are shared verbatim rather than
 re-implemented.  A row that exceeds its ``max_cycles`` raises the same
 :class:`~repro.errors.SimulationError` the scalar engines would (and
@@ -44,8 +44,8 @@ import numpy as np
 from ..core.contention import BankMap
 from ..errors import ParameterError
 from .banksim import fifo_service_times, fifo_service_times_cached
-from .cycle import _finish, _prepare, _Setup, simulate_scatter_cycle
-from .cycle_batch import _Acc, _commit, _first_stall
+from .cycle import _finish, _new_acc, _prepare, _Setup, simulate_scatter_cycle
+from .cycle_batch import _commit, _first_stall
 from .machine import MachineConfig, require_machine
 from .request import Assignment
 from .sanitize import sanitize_enabled
@@ -152,7 +152,7 @@ def simulate_scatter_grid(
         require_machine(machines[r], "simulate_scatter_grid")
         s = _prepare(
             machines[r], addr_rows[r], maps[r], assigns[r], budgets[r],
-            telemetry, do_sanitize, build_queues=False,
+            telemetry, do_sanitize,
         )
         if s.n == 0:
             results[r] = _row_fallback(
@@ -232,14 +232,11 @@ def simulate_scatter_grid(
                         budgets[r], telemetry, do_sanitize,
                     )
                     continue
-            acc = _Acc(s)
+            acc = _new_acc(s)
             _commit(
                 s, acc,
                 (arrival, start,
                  None if cost2 is None else cost2[i], bank, absorbed),
             )
-            results[r] = _finish(
-                machines[r], s, "grid", acc.bank_served, acc.total_wait,
-                acc.max_wait, acc.stalled, acc.last_finish, acc.tele,
-            )
+            results[r] = _finish(machines[r], s, "grid", acc)
     return results  # type: ignore[return-value]

@@ -26,12 +26,13 @@ stall certificate of the batch engine holds *vacuously* when
 ``queue_capacity is None``, so the projection is the exact bounded run.
 Bounded machines are the certificate-miss case by construction — a
 contiguous stream essentially never settles before the horizon — so
-their chunks run through :class:`_StreamWorld`, a pausable port of the
-event engine that stops at the *horizon* ``(n_fed // p) * g`` (the
-scheduled issue cycle of the first request not yet fed; any cycle
-before it can only involve fed requests, so processing it early is
-safe and exact).  Prefix results for a paused world come from draining
-a clone, never the live world.
+their chunks run through the one event world of
+:mod:`repro.simulator.world` (the ``engine="event"`` stepper itself),
+which stops at the *horizon* ``(n_fed // p) * g`` (the scheduled issue
+cycle of the first request not yet fed; any cycle before it can only
+involve fed requests, so processing it early is safe and exact).
+Prefix results for a paused world come from draining a clone, never
+the live world.
 
 Memory bound
 ------------
@@ -55,20 +56,8 @@ non-integer machine times (both inherited from the cycle simulator).
 from __future__ import annotations
 
 import hashlib
-import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -84,8 +73,9 @@ from .banksim import (
 from .cycle import _require_int
 from .machine import MachineConfig, require_machine
 from .request import Assignment
-from .sanitize import check_superstep, sanitize_enabled
-from .stats import SimResult, SimTelemetry
+from .sanitize import sanitize_enabled
+from .stats import SimResult
+from .world import Acc, EventWorld, runaway_error
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -140,308 +130,6 @@ class StreamUpdate:
     delta_time: float
     delta_wait: int
     conserved: bool
-
-
-class _StreamAcc:
-    """Rolling result aggregates, shared by both chunk paths.
-
-    The array-backed telemetry counters are allocated only when
-    telemetry or sanitize asked for them, mirroring the one-shot
-    engines' opt-in accounting."""
-
-    __slots__ = ("bank_served", "total_wait", "max_wait", "stalled",
-                 "last_finish", "completed", "busy", "q_high",
-                 "proc_stalls")
-
-    def __init__(self, n_banks: int, p: int, counters: bool) -> None:
-        self.bank_served = np.zeros(n_banks, dtype=np.int64)
-        self.total_wait = 0
-        self.max_wait = 0
-        self.stalled = 0
-        self.last_finish = 0
-        self.completed = 0
-        self.busy: Optional[np.ndarray] = (
-            np.zeros(n_banks, dtype=np.float64) if counters else None
-        )
-        self.q_high: Optional[np.ndarray] = (
-            np.zeros(n_banks, dtype=np.int64) if counters else None
-        )
-        self.proc_stalls: Optional[np.ndarray] = (
-            np.zeros(p, dtype=np.int64) if counters else None
-        )
-
-    def clone(self) -> "_StreamAcc":
-        c = _StreamAcc.__new__(_StreamAcc)
-        c.bank_served = self.bank_served.copy()
-        c.total_wait = self.total_wait
-        c.max_wait = self.max_wait
-        c.stalled = self.stalled
-        c.last_finish = self.last_finish
-        c.completed = self.completed
-        c.busy = None if self.busy is None else self.busy.copy()
-        c.q_high = None if self.q_high is None else self.q_high.copy()
-        c.proc_stalls = (
-            None if self.proc_stalls is None else self.proc_stalls.copy()
-        )
-        return c
-
-
-class _StreamWorld:
-    """Pausable port of the event engine for bounded-queue streams.
-
-    The cycle body is kept verbatim from
-    :class:`repro.simulator.cycle_batch._Scalar` (that is what makes
-    the stream bit-identical); the differences are that requests are
-    *fed* incrementally and that :meth:`run` pauses at an exclusive
-    horizon ``t_limit`` — the scheduled issue cycle of the first
-    request not yet fed — instead of always draining.  ``self.t`` is
-    always the next unprocessed cycle.
-    """
-
-    __slots__ = ("p", "n_banks", "g", "d", "latency", "hit_delay",
-                 "capacity", "proc_reqs", "queues", "bank_free_at",
-                 "bank_last_addr", "next_issue", "in_flight",
-                 "issue_heap", "bank_heap", "blocked", "seq", "queued",
-                 "t")
-
-    def __init__(self, p: int, n_banks: int, g: int, d: int, latency: int,
-                 hit_delay: Optional[int], capacity: Optional[int]) -> None:
-        self.p = p
-        self.n_banks = n_banks
-        self.g = g
-        self.d = d
-        self.latency = latency
-        self.hit_delay = hit_delay
-        self.capacity = capacity
-        self.proc_reqs: List[Deque[Tuple[int, int]]] = [
-            deque() for _ in range(p)
-        ]
-        self.queues: List[Deque[Tuple[int, int]]] = [
-            deque() for _ in range(n_banks)
-        ]
-        self.bank_free_at: List[int] = [0] * n_banks
-        self.bank_last_addr: List[Optional[int]] = [None] * n_banks
-        self.next_issue: List[int] = [0] * p
-        self.in_flight: List[Tuple[int, int, int, int]] = []
-        self.issue_heap: List[Tuple[int, int]] = []
-        self.bank_heap: List[Tuple[int, int]] = []
-        self.blocked: List[int] = []
-        self.seq = 0
-        self.queued = 0
-        self.t = 0
-
-    def feed(self, proc: np.ndarray, banks: np.ndarray,
-             addresses: np.ndarray) -> None:
-        """Append one chunk of requests to the per-processor streams.
-
-        An issue event is (re)scheduled only on an empty -> nonempty
-        deque transition; ``next_issue[q]`` is then never in the past
-        (it is >= the new head's scheduled issue, which is >= every
-        horizon this world has paused at)."""
-        heappush = heapq.heappush
-        proc_reqs = self.proc_reqs
-        for i in range(proc.size):
-            q = int(proc[i])
-            dq = proc_reqs[q]
-            if not dq:
-                heappush(self.issue_heap, (self.next_issue[q], q))
-            dq.append((int(banks[i]), int(addresses[i])))
-
-    def run(self, acc: _StreamAcc, n_target: int, t_limit: Optional[int],
-            max_cycles: int) -> bool:
-        """Step until ``n_target`` requests completed (``True``) or the
-        horizon ``t_limit`` is reached (``False``; ``None`` = drain).
-
-        Jumps are clamped to the horizon so the closed-form blocked
-        stall accrual telescopes exactly across pauses."""
-        heappush, heappop = heapq.heappush, heapq.heappop
-        capacity = self.capacity
-        proc_reqs = self.proc_reqs
-        queues = self.queues
-        bank_free_at = self.bank_free_at
-        bank_last_addr = self.bank_last_addr
-        next_issue = self.next_issue
-        in_flight = self.in_flight
-        issue_heap = self.issue_heap
-        bank_heap = self.bank_heap
-        blocked = self.blocked
-        busy = acc.busy
-        q_high = acc.q_high
-        proc_stalls = acc.proc_stalls
-        t = self.t
-        while True:
-            if acc.completed >= n_target:
-                self.t = t
-                self.blocked = blocked
-                return True
-            if t_limit is not None and t >= t_limit:
-                self.t = t
-                self.blocked = blocked
-                return False
-            if t > max_cycles:
-                raise SimulationError(
-                    f"cycle simulator exceeded {max_cycles} cycles with "
-                    f"{n_target - acc.completed} requests outstanding "
-                    f"and {acc.stalled} issue stalls accrued (deadlock "
-                    f"or runaway; queue_capacity={capacity})"
-                )
-
-            # 1. Processors issue, in processor-id order.
-            ready: List[int] = []
-            while issue_heap and issue_heap[0][0] <= t:
-                ready.append(heappop(issue_heap)[1])
-            if blocked:
-                ready.extend(blocked)
-                blocked = []
-            ready.sort()
-            for q in ready:
-                bank, req_addr = proc_reqs[q][0]
-                if capacity is not None and len(queues[bank]) >= capacity:
-                    acc.stalled += 1
-                    if proc_stalls is not None:
-                        proc_stalls[q] += 1
-                    blocked.append(q)
-                    continue  # retry next cycle; next_issue unchanged
-                proc_reqs[q].popleft()
-                heappush(
-                    in_flight, (t + self.latency, self.seq, bank, req_addr)
-                )
-                self.seq += 1
-                next_issue[q] = t + self.g
-                if proc_reqs[q]:
-                    heappush(issue_heap, (t + self.g, q))
-
-            # 2. Deliver arrivals due this cycle.
-            while in_flight and in_flight[0][0] <= t:
-                arr, _, bank, req_addr = heappop(in_flight)
-                queues[bank].append((arr, req_addr))
-                self.queued += 1
-                if q_high is not None and len(queues[bank]) > q_high[bank]:
-                    q_high[bank] = len(queues[bank])
-                if len(queues[bank]) == 1:
-                    heappush(bank_heap, (max(bank_free_at[bank], t), bank))
-
-            # 3. Banks start service.
-            served_any = False
-            while bank_heap and bank_heap[0][0] <= t:
-                _, bank = heappop(bank_heap)
-                if not queues[bank]:
-                    continue  # stale entry; rescheduled on next arrival
-                if bank_free_at[bank] > t:
-                    heappush(bank_heap, (bank_free_at[bank], bank))
-                    continue
-                arr, req_addr = queues[bank].popleft()
-                self.queued -= 1
-                wait = t - arr
-                acc.total_wait += wait
-                if wait > acc.max_wait:
-                    acc.max_wait = wait
-                cost = self.d
-                if self.hit_delay is not None \
-                        and bank_last_addr[bank] == req_addr:
-                    cost = self.hit_delay
-                bank_last_addr[bank] = req_addr
-                bank_free_at[bank] = t + cost
-                acc.bank_served[bank] += 1
-                if busy is not None:
-                    busy[bank] += cost
-                if t + cost > acc.last_finish:
-                    acc.last_finish = t + cost
-                acc.completed += 1
-                served_any = True
-                if queues[bank]:
-                    heappush(bank_heap, (t + cost, bank))
-
-            if acc.completed >= n_target:
-                # The serving cycle t mutated nothing beyond the served
-                # requests; t + 1 is the next unprocessed cycle, and
-                # every future feed schedules at >= the horizon > t.
-                self.t = t + 1
-                self.blocked = blocked
-                return True
-
-            # Jump to the next cycle where anything can change.
-            t_next = max_cycles + 1
-            if issue_heap and issue_heap[0][0] < t_next:
-                t_next = issue_heap[0][0]
-            if in_flight and in_flight[0][0] < t_next:
-                t_next = in_flight[0][0]
-            if bank_heap and bank_heap[0][0] < t_next:
-                t_next = bank_heap[0][0]
-            if blocked and served_any and t + 1 < t_next:
-                t_next = t + 1  # freed queue space: blocked issues may go
-            if t_limit is not None and t_next > t_limit:
-                t_next = t_limit
-            if t_next <= t:
-                raise SimulationError(
-                    "stream event world scheduled a non-advancing event "
-                    f"(t={t}, t_next={t_next}); this is a bug"
-                )
-            if blocked:
-                acc.stalled += len(blocked) * (t_next - t - 1)
-                if proc_stalls is not None:
-                    for q in blocked:
-                        proc_stalls[q] += t_next - t - 1
-            t = t_next
-
-    def clone(self) -> "_StreamWorld":
-        w = _StreamWorld.__new__(_StreamWorld)
-        w.p = self.p
-        w.n_banks = self.n_banks
-        w.g = self.g
-        w.d = self.d
-        w.latency = self.latency
-        w.hit_delay = self.hit_delay
-        w.capacity = self.capacity
-        w.proc_reqs = [deque(dq) for dq in self.proc_reqs]
-        w.queues = [deque(dq) for dq in self.queues]
-        w.bank_free_at = list(self.bank_free_at)
-        w.bank_last_addr = list(self.bank_last_addr)
-        w.next_issue = list(self.next_issue)
-        w.in_flight = list(self.in_flight)
-        w.issue_heap = list(self.issue_heap)
-        w.bank_heap = list(self.bank_heap)
-        w.blocked = list(self.blocked)
-        w.seq = self.seq
-        w.queued = self.queued
-        w.t = self.t
-        return w
-
-    def state(self) -> Dict[str, Any]:
-        """Machine state as plain picklable structures."""
-        return {
-            "proc_reqs": [list(dq) for dq in self.proc_reqs],
-            "queues": [list(dq) for dq in self.queues],
-            "bank_free_at": list(self.bank_free_at),
-            "bank_last_addr": list(self.bank_last_addr),
-            "next_issue": list(self.next_issue),
-            "in_flight": list(self.in_flight),
-            "issue_heap": list(self.issue_heap),
-            "bank_heap": list(self.bank_heap),
-            "blocked": list(self.blocked),
-            "seq": self.seq,
-            "queued": self.queued,
-            "t": self.t,
-        }
-
-    def load_state(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state` output (heaps keep their heap order)."""
-        self.proc_reqs = [
-            deque(tuple(r) for r in dq) for dq in state["proc_reqs"]
-        ]
-        self.queues = [
-            deque(tuple(r) for r in dq) for dq in state["queues"]
-        ]
-        self.bank_free_at = list(state["bank_free_at"])
-        self.bank_last_addr = list(state["bank_last_addr"])
-        self.next_issue = list(state["next_issue"])
-        self.in_flight = [tuple(e) for e in state["in_flight"]]
-        self.issue_heap = [tuple(e) for e in state["issue_heap"]]
-        self.bank_heap = [tuple(e) for e in state["bank_heap"]]
-        self.blocked = list(state["blocked"])
-        self.seq = int(state["seq"])
-        self.queued = int(state["queued"])
-        self.t = int(state["t"])
 
 
 class StreamSimulator:
@@ -534,7 +222,7 @@ class StreamSimulator:
         self._sanitize = sanitize_enabled(sanitize)
         self._max_chunk = int(max_chunk)
         counters = self._telemetry or self._sanitize
-        self._acc = _StreamAcc(self._n_banks, self._p, counters)
+        self._acc = Acc(self._n_banks, self._p, counters)
         self._n = 0
         self._chunk_index = 0
         self._last_time = float(L)
@@ -554,9 +242,9 @@ class StreamSimulator:
         # Bounded queues miss the stall certificate by construction (a
         # contiguous stream does not settle before the horizon), so
         # they run in the exact pausable event world instead.
-        self._world: Optional[_StreamWorld] = (
-            _StreamWorld(self._p, self._n_banks, g, d, latency, hit_delay,
-                         self._capacity)
+        self._world: Optional[EventWorld] = (
+            EventWorld(self._p, self._n_banks, g, d, latency, hit_delay,
+                       self._capacity)
             if self._capacity is not None else None
         )
         self._digest_chain = _DIGEST_SEED
@@ -658,10 +346,8 @@ class StreamSimulator:
             proc = (idx % self._p).astype(np.int64)
             self._world.feed(proc, banks, chunk)
             n_fed = self._n + m
-            self._world.run(
-                self._acc, n_fed, (n_fed // self._p) * self._g,
-                self._bound(n_fed),
-            )
+            self._world.run(self._acc, self._bound(n_fed),
+                            horizon=(n_fed // self._p) * self._g)
         self._n += m
 
     def _commit_projection(
@@ -692,12 +378,8 @@ class StreamSimulator:
         bound = self._bound(self._n + m)
         if int(start.max()) > bound:
             done = acc.completed + int((start <= bound).sum())
-            raise SimulationError(
-                f"cycle simulator exceeded {bound} cycles with "
-                f"{self._n + m - done} requests outstanding and "
-                f"{acc.stalled} issue stalls accrued (deadlock or "
-                f"runaway; queue_capacity={self._capacity})"
-            )
+            raise runaway_error(bound, self._n + m - done, acc.stalled,
+                                self._capacity)
 
         waits = start - arrival
         acc.total_wait += int(waits.sum())
@@ -755,85 +437,22 @@ class StreamSimulator:
 
     # -- prefix results ----------------------------------------------------
 
-    def _zero_telemetry(self) -> SimTelemetry:
-        return SimTelemetry(
-            bank_busy=np.zeros(self._n_banks, dtype=np.float64),
-            queue_high_water=np.zeros(self._n_banks, dtype=np.int64),
-            stall_breakdown={
-                "bank_wait": 0.0,
-                "link_wait": 0.0,
-                "issue_backpressure": 0.0,
-            },
-            proc_stalls=np.zeros(self._p, dtype=np.int64),
-            makespan=0.0,
-        )
-
     def _prefix(self) -> Tuple[SimResult, int]:
         """Prefix result plus the exact integer total bank wait."""
-        if self._n == 0:
-            result = SimResult(
-                time=float(self._L), n=0,
-                bank_loads=np.zeros(self._n_banks, dtype=np.int64),
-                machine_name=self._machine.name,
-                telemetry=(
-                    self._zero_telemetry() if self._telemetry else None
-                ),
-            )
-            if self._sanitize:
-                check_superstep(
-                    self._machine, result, engine="stream", h_p=0,
-                    n_survivors=0,
-                )
-            return result, 0
         acc = self._acc
         if self._world is not None and acc.completed < self._n:
             # Requests are still in flight behind the horizon: drain a
             # clone to completion (exactly the one-shot suffix for the
             # fed prefix).  The live world never runs past the horizon.
             acc = acc.clone()
-            self._world.clone().run(acc, self._n, None,
-                                    self._bound(self._n))
-        return self._snapshot(acc), int(acc.total_wait)
-
-    def _snapshot(self, acc: _StreamAcc) -> SimResult:
-        """Freeze accumulators into a one-shot-identical result."""
+            self._world.clone().run(acc, self._bound(self._n))
         n = self._n
-        tele: Optional[SimTelemetry] = None
-        if self._telemetry:
-            assert acc.busy is not None and acc.q_high is not None \
-                and acc.proc_stalls is not None
-            tele = SimTelemetry(
-                bank_busy=acc.busy.copy(),
-                queue_high_water=acc.q_high.copy(),
-                stall_breakdown={
-                    "bank_wait": float(acc.total_wait),
-                    "link_wait": 0.0,
-                    "issue_backpressure": float(acc.stalled),
-                },
-                proc_stalls=acc.proc_stalls.copy(),
-                makespan=float(acc.last_finish),
-            )
-        result = SimResult(
-            time=float(acc.last_finish + self._L),
-            n=n,
-            bank_loads=acc.bank_served.copy(),
-            max_wait=float(acc.max_wait),
-            mean_wait=float(acc.total_wait / n),
-            stalled_cycles=float(acc.stalled),
-            machine_name=self._machine.name,
-            telemetry=tele,
+        result = acc.result(
+            self._machine, n, self._L, telemetry=self._telemetry,
+            sanitize=self._sanitize, engine="stream", h_p=-(-n // self._p),
+            n_survivors=n,
         )
-        if self._sanitize:
-            assert acc.busy is not None and acc.q_high is not None
-            check_superstep(
-                self._machine, result,
-                engine="stream",
-                h_p=-(-n // self._p),
-                n_survivors=n,
-                bank_busy=acc.busy,
-                queue_high_water=acc.q_high,
-            )
-        return result
+        return result, int(acc.total_wait)
 
     # -- rolling digest ----------------------------------------------------
 
@@ -851,29 +470,15 @@ class StreamSimulator:
 
     def state(self) -> Dict[str, Any]:
         """Complete resumable state as plain picklable structures."""
-        acc = self._acc
         return {
-            "version": 1,
+            "version": 2,
             "n": self._n,
             "chunk_index": self._chunk_index,
             "last_time": self._last_time,
             "last_wait": self._last_wait,
             "digest_chain": self._digest_chain,
             "digest_tail": self._digest_tail,
-            "acc": {
-                "bank_served": acc.bank_served.copy(),
-                "total_wait": acc.total_wait,
-                "max_wait": acc.max_wait,
-                "stalled": acc.stalled,
-                "last_finish": acc.last_finish,
-                "completed": acc.completed,
-                "busy": None if acc.busy is None else acc.busy.copy(),
-                "q_high": None if acc.q_high is None else acc.q_high.copy(),
-                "proc_stalls": (
-                    None if acc.proc_stalls is None
-                    else acc.proc_stalls.copy()
-                ),
-            },
+            "acc": self._acc.state(),
             "floors": self._floors.copy(),
             "last_addr": (
                 None if self._last_addr is None else self._last_addr.copy()
@@ -892,7 +497,7 @@ class StreamSimulator:
         The simulator must have consumed nothing yet and must have been
         constructed with the same machine/telemetry configuration the
         checkpoint was taken under."""
-        if state.get("version") != 1:
+        if state.get("version") != 2:
             raise ParameterError(
                 f"unsupported stream checkpoint version "
                 f"{state.get('version')!r}"
@@ -916,17 +521,7 @@ class StreamSimulator:
         self._last_wait = int(state["last_wait"])
         self._digest_chain = bytes(state["digest_chain"])
         self._digest_tail = bytes(state["digest_tail"])
-        acc = self._acc
-        acc.bank_served = acc_state["bank_served"].copy()
-        acc.total_wait = int(acc_state["total_wait"])
-        acc.max_wait = int(acc_state["max_wait"])
-        acc.stalled = int(acc_state["stalled"])
-        acc.last_finish = int(acc_state["last_finish"])
-        acc.completed = int(acc_state["completed"])
-        if acc_state["busy"] is not None:
-            acc.busy = acc_state["busy"].copy()
-            acc.q_high = acc_state["q_high"].copy()
-            acc.proc_stalls = acc_state["proc_stalls"].copy()
+        self._acc.load_state(acc_state)
         self._floors = state["floors"].copy()
         if state["last_addr"] is not None:
             self._last_addr = state["last_addr"].copy()

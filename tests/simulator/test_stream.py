@@ -343,6 +343,19 @@ class TestDigestAndCheckpoint:
         fresh.feed(addr)
         assert resumed.prefix_digest == fresh.prefix_digest
 
+    def test_load_state_refuses_version_1(self):
+        # Version 2 changed the event world's layout (FIFO in flight,
+        # bank wheel, parked processors): an older checkpoint must be
+        # refused, not misread.
+        machine = toy_machine(p=4, x=2, d=6, queue_capacity=2)
+        sim = StreamSimulator(machine)
+        sim.feed(hotspot(100, 10, 1 << 12, seed=1))
+        state = sim.state()
+        assert state["version"] == 2
+        state["version"] = 1
+        with pytest.raises(ParameterError, match="version"):
+            StreamSimulator(machine).load_state(state)
+
     def test_resume_misses_on_unknown_prefix(self, _isolated_cache):
         machine = toy_machine()
         sim = StreamSimulator(machine)

@@ -1,0 +1,218 @@
+"""The shared event world against the independent tick oracle.
+
+``engine="event"``, the batch engine's back-pressure fallback and
+bounded-queue stream chunks all step the one event world of
+:mod:`repro.simulator.world`, so comparing those paths with each other
+only checks the world against itself.  ``engine="tick"`` is the one
+independent oracle left: every check here compares with it, telemetry
+on, including the per-processor stall counts the world accrues in
+closed form for parked processors.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SimulationError
+from repro.mapping.hashing import HASH_FAMILIES
+from repro.simulator import (
+    StreamSimulator,
+    simulate_scatter_cycle,
+    toy_machine,
+)
+from repro.simulator import cycle_batch
+from repro.simulator.machine import CRAY_J90
+from repro.workloads import broadcast, hotspot, uniform_random
+from repro.workloads.patterns import zipf_pattern
+
+from .test_cycle_batch import _machines, _pattern
+
+
+def _assert_identical(a, b):
+    assert a.time == b.time
+    assert a.n == b.n
+    assert (a.bank_loads == b.bank_loads).all()
+    assert a.max_wait == b.max_wait
+    assert a.mean_wait == b.mean_wait
+    assert a.stalled_cycles == b.stalled_cycles
+    ta, tb = a.telemetry, b.telemetry
+    assert (ta.bank_busy == tb.bank_busy).all()
+    assert (ta.queue_high_water == tb.queue_high_water).all()
+    assert ta.stall_breakdown == tb.stall_breakdown
+    assert (ta.proc_stalls == tb.proc_stalls).all()
+    assert ta.makespan == tb.makespan
+
+
+def _tick(machine, addr, bank_map=None, **kwargs):
+    return simulate_scatter_cycle(machine, addr, bank_map, engine="tick",
+                                  telemetry=True, **kwargs)
+
+
+def _engine(machine, addr, engine, bank_map=None, **kwargs):
+    return simulate_scatter_cycle(machine, addr, bank_map, engine=engine,
+                                  telemetry=True, **kwargs)
+
+
+def _chunks(addr, cuts):
+    bounds = [0] + sorted({min(c, addr.size) for c in cuts}) + [addr.size]
+    return [addr[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestEveryPathMatchesTick:
+    @given(
+        machine=_machines(),
+        n=st.integers(1, 300),
+        hot=st.integers(0, 120),
+        seed=st.integers(0, 10_000),
+        assignment=st.sampled_from(["round_robin", "block"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_event_and_batch(self, machine, n, hot, seed, assignment):
+        addr = _pattern(n, hot, seed)
+        tick = _tick(machine, addr, assignment=assignment)
+        for engine in ("event", "batch"):
+            _assert_identical(
+                _engine(machine, addr, engine, assignment=assignment), tick
+            )
+
+    @given(
+        machine=_machines().filter(lambda m: not m.combining),
+        n=st.integers(1, 200),
+        hot=st.integers(0, 80),
+        seed=st.integers(0, 10_000),
+        cuts=st.lists(st.integers(0, 200), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stream_fed_in_random_chunks(self, machine, n, hot, seed,
+                                         cuts):
+        addr = _pattern(n, hot, seed)
+        sim = StreamSimulator(machine, telemetry=True)
+        fed = 0
+        for block in _chunks(addr, cuts):
+            fed += block.size
+            _assert_identical(sim.feed(block).result,
+                              _tick(machine, addr[:fed]))
+
+
+class TestWorldSeams:
+    def test_batch_resumes_the_world_across_seams(self, monkeypatch):
+        # Three hot bursts separated by light traffic: each burst fails
+        # the certificate, the world drains it to quiescence and
+        # exports, and the next burst resumes the same world.
+        calls = {"run": 0, "export": 0}
+        orig_run, orig_export = cycle_batch._Scalar.run, \
+            cycle_batch._Scalar.export
+
+        def run_spy(self, s, acc, t_stall):
+            calls["run"] += 1
+            return orig_run(self, s, acc, t_stall)
+
+        def export_spy(self, s):
+            calls["export"] += 1
+            return orig_export(self, s)
+
+        monkeypatch.setattr(cycle_batch._Scalar, "run", run_spy)
+        monkeypatch.setattr(cycle_batch._Scalar, "export", export_spy)
+        rng = np.random.default_rng(2)
+        addr = np.concatenate([
+            part for k in range(3) for part in (
+                np.full(30, 7 + k, dtype=np.int64),
+                rng.integers(0, 1 << 12, 90),
+            )
+        ])
+        m = toy_machine(p=3, x=2, d=2, g=2, latency=0, queue_capacity=2)
+        batch = _engine(m, addr, "batch")
+        assert calls["export"] >= 3 and calls["run"] >= 3
+        assert batch.stalled_cycles > 0
+        _assert_identical(batch, _tick(m, addr))
+
+    def test_paused_stream_with_parked_processors(self):
+        # Capacity-1 queues behind one hot address: at every horizon
+        # processors sit parked, so the pause must have counted their
+        # stalls, a checkpoint must carry them, and a clone drain must
+        # leave the live world where it was.
+        m = toy_machine(p=4, x=1, d=6, latency=3, queue_capacity=1)
+        addr = broadcast(120, 9)
+        sim = StreamSimulator(m, telemetry=True, max_chunk=16)
+        sim.feed(addr[:50])
+        world = sim._world
+        assert world.n_blocked > 0 and world.parked
+        t_live = world.t
+        _assert_identical(sim.result(), _tick(m, addr[:50]))
+        assert world.t == t_live and world.n_blocked > 0
+
+        restored = StreamSimulator(m, telemetry=True, max_chunk=16)
+        restored.load_state(sim.state())
+        for s in (sim, restored):
+            _assert_identical(s.feed(addr[50:]).result, _tick(m, addr))
+
+    def test_capacity_one_broadcast_parks_every_processor(self):
+        m = toy_machine(p=8, x=2, d=6, latency=2, queue_capacity=1)
+        addr = broadcast(160, 3)
+        tick = _tick(m, addr)
+        assert (tick.telemetry.proc_stalls > 0).all()
+        for engine in ("event", "batch"):
+            _assert_identical(_engine(m, addr, engine), tick)
+        sim = StreamSimulator(m, telemetry=True)
+        sim.feed(addr[:40])
+        assert sim._world.n_blocked == m.p
+        assert len(sim._world.parked) == 1
+        _assert_identical(sim.feed(addr[40:]).result, tick)
+
+
+#: The served cold-mix deck's bounded J90 shapes at n = 4096.
+_COLD_SHAPES = [
+    ("uniform", None), ("uniform", "h1"), ("hotspot", None),
+    ("zipf", "h1"), ("zipf", "h3"),
+]
+
+
+def _cold_pattern(kind, seed):
+    space = 1 << 24
+    if kind == "uniform":
+        return uniform_random(4096, space, seed=seed)
+    if kind == "hotspot":
+        return hotspot(4096, 64, space, seed=seed)
+    return zipf_pattern(4096, space, 1.2, seed=seed)
+
+
+class TestColdMixShapes:
+    @pytest.mark.parametrize("kind,map_kind", _COLD_SHAPES)
+    def test_bounded_j90_4k(self, kind, map_kind):
+        m = CRAY_J90.with_(queue_capacity=8)
+        addr = _cold_pattern(kind, seed=11)
+        bank_map = None if map_kind is None else HASH_FAMILIES[map_kind](7)
+        tick = _tick(m, addr, bank_map)
+        for engine in ("event", "batch"):
+            _assert_identical(_engine(m, addr, engine, bank_map), tick)
+        sim = StreamSimulator(m, bank_map, telemetry=True, max_chunk=1000)
+        _assert_identical(sim.feed(addr).result, tick)
+
+
+#: Configs whose max_cycles budget runs out mid-run: unbounded,
+#: bounded with every processor parked, bounded with latency and row
+#: buffers, and combining.
+_RUNAWAY = [
+    (dict(p=2, x=1, d=6), broadcast(500, 4), 30),
+    (dict(p=4, x=4, d=6, queue_capacity=1), broadcast(200, 5), 50),
+    (dict(p=4, x=2, d=6, latency=3, queue_capacity=2, cache_hit_delay=2),
+     hotspot(300, 20, 1 << 16, seed=3), 120),
+    (dict(p=3, x=1, d=14, queue_capacity=1, combining=True),
+     hotspot(200, 40, 1 << 12, seed=4), 200),
+]
+
+
+class TestRunawayParity:
+    @pytest.mark.parametrize("config,addr,budget", _RUNAWAY)
+    def test_same_diagnostic_on_every_engine(self, config, addr, budget):
+        m = toy_machine(**config)
+        messages = {}
+        for engine in ("tick", "event", "batch"):
+            with pytest.raises(SimulationError) as exc:
+                simulate_scatter_cycle(m, addr, max_cycles=budget,
+                                       engine=engine)
+            messages[engine] = str(exc.value)
+        assert messages["event"] == messages["tick"]
+        assert messages["batch"] == messages["tick"]
+        assert f"exceeded {budget} cycles" in messages["tick"]

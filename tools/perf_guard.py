@@ -6,7 +6,9 @@ previous accepted runs stored next to them as ``*.prev.json``:
 
 * ``BENCH_cycle_engine.json`` (written by
   ``pytest benchmarks/test_perf_cycle_engine.py``) — gates the event
-  and batch cycle engines plus the fused whole-grid pass
+  and batch cycle engines, on the unbounded hot-spot scatter and on
+  the bounded stall path (``event_bounded_seconds``,
+  ``batch_bounded_seconds``), plus the fused whole-grid pass
   (``grid_fused_seconds``);
 * ``BENCH_banksim.json`` (written by
   ``pytest benchmarks/test_perf_banksim.py``) — gates the segmented
@@ -50,7 +52,8 @@ BASELINE = ROOT / "BENCH_cycle_engine.prev.json"
 #: Every gated benchmark: (current file, baseline file, timing keys).
 BENCHES: Tuple[Tuple[pathlib.Path, pathlib.Path, Tuple[str, ...]], ...] = (
     (CURRENT, BASELINE,
-     ("event_seconds", "batch_seconds", "grid_fused_seconds")),
+     ("event_seconds", "batch_seconds", "event_bounded_seconds",
+      "batch_bounded_seconds", "grid_fused_seconds")),
     (ROOT / "BENCH_banksim.json", ROOT / "BENCH_banksim.prev.json",
      ("kernel_seconds", "banksim_seconds")),
     (ROOT / "BENCH_serving.json", ROOT / "BENCH_serving.prev.json",
