@@ -13,7 +13,8 @@ comparison under ``benchmarks/results/`` and writes machine-readable
 numbers to ``BENCH_cycle_engine.json`` at the repo root for
 ``tools/perf_guard.py``.  A second case times the stall path: a bounded
 J90 zipf scatter where back-pressure binds, so the event engine parks
-processors and the batch engine falls back to the event world.
+processors and the batch engine falls back to the event world, plus a
+fused grid whose bounded rows take that fallback from inside the grid.
 """
 
 import json
@@ -25,7 +26,7 @@ from conftest import run_once
 
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_SPACE, j90
 from repro.mapping.hashing import HASH_FAMILIES
-from repro.simulator import simulate_scatter_cycle
+from repro.simulator import simulate_scatter_cycle, simulate_scatter_grid
 from repro.workloads import hotspot
 from repro.workloads.patterns import zipf_pattern
 
@@ -113,6 +114,7 @@ def test_perf_cycle_engine(benchmark, save_result):
 
 BOUNDED_N = 4096
 BOUNDED_REPEATS = 7
+GRID_BOUNDED_ROWS = 8
 
 
 def test_perf_cycle_engine_bounded(benchmark, save_result):
@@ -121,9 +123,17 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
     through the ``h1`` hash map.  Back-pressure binds for most of the
     run, so ``event`` parks processors behind full queues and ``batch``
     fails its stall certificate and falls back to the event world.
-    Asserts bit-identity with ``tick`` and merges
-    ``event_bounded_seconds`` / ``batch_bounded_seconds`` into
-    ``BENCH_cycle_engine.json`` for ``tools/perf_guard.py``."""
+    Asserts bit-identity with ``tick``.
+
+    Then a fused grid of 8 rows, zipf seeds 0-7 through the same map,
+    alternating the bounded J90 (even rows) with the unbounded one (odd
+    rows): the unbounded rows commit from one stacked projection and
+    the bounded rows fail their certificates and finish through the
+    batch fallback from inside the grid.  Asserts every row equals its
+    stand-alone ``engine="event"`` result.  Merges
+    ``event_bounded_seconds`` / ``batch_bounded_seconds`` /
+    ``grid_bounded_seconds`` into ``BENCH_cycle_engine.json`` for
+    ``tools/perf_guard.py``."""
     machine = j90(queue_capacity=8)
     addr = zipf_pattern(BOUNDED_N, 1 << 24, 1.2, seed=DEFAULT_SEED)
     bank_map = HASH_FAMILIES["h1"](7)
@@ -146,6 +156,21 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
         assert fast.max_wait == tick.max_wait
     assert event.telemetry is None and batch.telemetry is None
 
+    machines = [machine if r % 2 == 0 else j90()
+                for r in range(GRID_BOUNDED_ROWS)]
+    patterns = [zipf_pattern(BOUNDED_N, 1 << 24, 1.2, seed=r)
+                for r in range(GRID_BOUNDED_ROWS)]
+    grid_s, fused = _best_of(BOUNDED_REPEATS, simulate_scatter_grid,
+                             machines, patterns, bank_map)
+    for got, m, row in zip(fused, machines, patterns):
+        alone = simulate_scatter_cycle(m, row, bank_map, engine="event")
+        assert got.time == alone.time
+        assert (got.bank_loads == alone.bank_loads).all()
+        assert got.stalled_cycles == alone.stalled_cycles
+        assert got.mean_wait == alone.mean_wait
+        assert got.max_wait == alone.max_wait
+    assert fused[0].stalled_cycles > 0  # bounded rows really fell back
+
     save_result("perf_cycle_engine_bounded", "\n".join([
         "cycle engines on the stall path (zipf 1.2, h1 map, "
         f"{machine.name}, queue_capacity=8, n={BOUNDED_N})",
@@ -156,8 +181,12 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
         f"{event.stalled_cycles:>10.0f}",
         f"{'batch':<10} {batch_s:>10.4f} {batch.time:>12.0f} "
         f"{batch.stalled_cycles:>10.0f}",
+        f"{'grid x' + str(GRID_BOUNDED_ROWS):<10} {grid_s:>10.4f} "
+        f"{'-':>12} {sum(r.stalled_cycles for r in fused):>10.0f}",
         "",
-        "bit-identical to the tick engine",
+        "event and batch bit-identical to the tick engine; every grid "
+        "row (bounded/unbounded alternating) bit-identical to its "
+        "stand-alone event run",
     ]))
 
     data = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.is_file() \
@@ -167,6 +196,8 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
         "bounded_n": BOUNDED_N,
         "event_bounded_seconds": round(event_s, 6),
         "batch_bounded_seconds": round(batch_s, 6),
+        "grid_bounded_rows": GRID_BOUNDED_ROWS,
+        "grid_bounded_seconds": round(grid_s, 6),
     })
     BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 

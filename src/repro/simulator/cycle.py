@@ -54,7 +54,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ..core.contention import BankMap
-from ..errors import ParameterError
+from ..errors import ParameterError, PatternError
 from .machine import MachineConfig, require_machine
 from .request import Assignment, RequestBatch
 from .sanitize import sanitize_enabled
@@ -75,7 +75,8 @@ def _require_int(name: str, value: float) -> int:
 @dataclass
 class _Setup:
     """Validated integer machine parameters plus the request arrays,
-    shared by all engines."""
+    shared by all engines.  The stream keeps one without request arrays
+    that describes the prefix it has consumed."""
 
     p: int
     n_banks: int
@@ -113,15 +114,11 @@ def _finish(machine: MachineConfig, s: _Setup, engine: str,
                       n_survivors=s.n_survivors)
 
 
-def _prepare(
-    machine: MachineConfig,
-    addresses: ArrayLike,
-    bank_map: Optional[BankMap],
-    assignment: Assignment,
-    max_cycles: Optional[int],
-    telemetry: bool = False,
-    sanitize: bool = False,
-) -> _Setup:
+def _machine_setup(machine: MachineConfig, telemetry: bool = False,
+                   sanitize: bool = False) -> _Setup:
+    """Validated integer machine parameters of a run with no requests
+    yet: the checks every cycle-level entry point shares (the one-shot
+    engines through :func:`_prepare`, and the stream)."""
     if machine.n_sections > 1 and machine.section_gap > 0:
         raise ParameterError(
             "the cycle simulator does not model network sections; use "
@@ -140,51 +137,77 @@ def _prepare(
         raise ParameterError(
             "cycle simulator requires integer g, d, cache_hit_delay >= 1"
         )
+    return _Setup(
+        p=machine.p, n_banks=machine.n_banks, g=g, d=d, latency=latency,
+        L=L, hit_delay=hit_delay, capacity=machine.queue_capacity, n=0,
+        max_cycles=0, telemetry=telemetry, sanitize=sanitize,
+    )
 
-    batch = RequestBatch.from_addresses(addresses, machine, assignment)
-    n = batch.n
-    n_banks = machine.n_banks
-    if n == 0:
-        return _Setup(
-            p=machine.p, n_banks=n_banks, g=g, d=d, latency=latency, L=L,
-            hit_delay=hit_delay, capacity=machine.queue_capacity, n=0,
-            max_cycles=0, telemetry=telemetry, sanitize=sanitize,
-        )
+
+def _max_cycles(s: _Setup, n: int) -> int:
+    """Default runaway ceiling for an ``n``-request run.
+
+    Serialization ceiling: every request behind one bank (n*d) and
+    behind one issue pipe (n*g), plus transit.  Bounded queues add dead
+    time on top: whenever the hot queue drains below capacity the next
+    retry still needs an issue attempt plus the network transit to
+    land, so charge one (latency + g + 2)-cycle bubble per `capacity`
+    requests served."""
+    bound = n * s.d + n * s.g + s.latency + 1000
+    if s.capacity is not None:
+        bound += (n // s.capacity + 1) * (s.latency + s.g + 2)
+    return int(bound)
+
+
+def _bank_ids(bank_map: Optional[BankMap], addresses: np.ndarray,
+              n_banks: int) -> np.ndarray:
+    """Bank of every address: the default ``address % n_banks``
+    interleave, or ``bank_map``'s output checked to hold one id in
+    ``[0, n_banks)`` per address."""
     if bank_map is None:
-        banks = (batch.addresses % n_banks).astype(np.int64)
-    else:
-        banks = np.asarray(bank_map(batch.addresses, n_banks)).astype(np.int64)
+        return (addresses % n_banks).astype(np.int64)
+    banks = np.asarray(bank_map(addresses, n_banks)).astype(np.int64)
+    if banks.shape != addresses.shape:
+        raise PatternError("bank_map must return one bank per address")
+    if banks.size and (int(banks.min()) < 0
+                       or int(banks.max()) >= n_banks):
+        raise PatternError(
+            f"bank_map produced banks outside [0, {n_banks})"
+        )
+    return banks
+
+
+def _prepare(
+    machine: MachineConfig,
+    addresses: ArrayLike,
+    bank_map: Optional[BankMap],
+    assignment: Assignment,
+    max_cycles: Optional[int],
+    telemetry: bool = False,
+    sanitize: bool = False,
+) -> _Setup:
+    s = _machine_setup(machine, telemetry, sanitize)
+    batch = RequestBatch.from_addresses(addresses, machine, assignment)
+    if batch.n == 0:
+        return s
+    banks = _bank_ids(bank_map, batch.addresses, s.n_banks)
 
     # Combining (when enabled): only the first request per distinct
     # location (in request order) reaches the memory side; the rest are
     # absorbed in the network and complete at issue + latency.
-    survives = np.ones(n, dtype=bool)
+    survives = np.ones(batch.n, dtype=bool)
     if machine.combining:
         _, keep = np.unique(batch.addresses, return_index=True)
         survives[:] = False
         survives[keep] = True
 
-    capacity = machine.queue_capacity  # None = unbounded
-    if max_cycles is None:
-        # Serialization ceiling: every request behind one bank (n*d) and
-        # behind one issue pipe (n*g), plus transit.  Bounded queues add
-        # dead time on top: whenever the hot queue drains below capacity
-        # the next retry still needs an issue attempt plus the network
-        # transit to land, so charge one (latency + g + 2)-cycle bubble
-        # per `capacity` requests served.
-        bound = n * d + n * g + latency + 1000
-        if capacity is not None:
-            bound += (n // capacity + 1) * (latency + g + 2)
-        max_cycles = int(bound)
-
-    return _Setup(
-        p=machine.p, n_banks=n_banks, g=g, d=d, latency=latency, L=L,
-        hit_delay=hit_delay, capacity=capacity, n=n,
-        max_cycles=max_cycles, telemetry=telemetry, sanitize=sanitize,
-        h_p=int(batch.per_processor_counts(machine.p).max()),
-        n_survivors=int(survives.sum()),
-        batch=batch, banks=banks, survives=survives,
-    )
+    s.n = batch.n
+    s.max_cycles = _max_cycles(s, s.n) if max_cycles is None \
+        else max_cycles
+    s.h_p = int(batch.per_processor_counts(machine.p).max())
+    s.n_survivors = int(survives.sum())
+    s.batch, s.banks, s.survives = batch, banks, survives
+    return s
 
 
 def _run_tick(machine: MachineConfig, s: _Setup) -> SimResult:

@@ -1,15 +1,23 @@
-"""Vectorized "batch" engine for the bounded-queue cycle simulator.
+"""Vectorized "batch" engine: the one place the cycle simulator projects.
 
 The scalar engines in :mod:`repro.simulator.cycle` touch every request
-(event) or every cycle (tick) in Python.  This engine instead advances
-the machine in *spans* and solves each span with numpy array stepping:
+(event) or every cycle (tick) in Python.  This module instead advances
+the machine in *spans* and solves each span with numpy array stepping,
+for one scatter (``engine="batch"``), for a whole stack of them
+(:func:`~repro.simulator.cycle_grid.simulate_scatter_grid`, of which
+the batch engine is the one-row call) and for unbounded stream chunks
+(:class:`~repro.simulator.stream.StreamSimulator`, one row with carried
+seeds):
 
 1. **Project.** Ignoring queue bounds, every remaining request's service
    start follows from the segmented cumulative-maximum kernel of
    :mod:`repro.simulator.banksim` (``start[i] = max(arrival[i],
-   start[i-1] + d)`` per bank, solved for all banks at once).  The
-   kernels accept per-bank seeds (``init_free`` floors, ``init_addr``
-   row buffers) so a projection can start from a mid-run machine state.
+   start[i-1] + d)`` per bank, solved for all banks at once).  Rows
+   with one survivor count stack into a single ``(rows, m)`` kernel
+   call; one row keeps the 1-D kernel, and costs every row shares stay
+   scalars.  The kernels accept per-bank seeds (``init_free`` floors,
+   ``init_addr`` row buffers) so a projection can start from a mid-run
+   machine state.
 2. **Certify.** The bounded machine evolves identically to the
    unbounded projection up to the first cycle at which an issuing
    processor finds its target queue full.  The queue depth seen by the
@@ -17,21 +25,22 @@ the machine in *spans* and solves each span with numpy array stepping:
    over same-bank survivors (issue precedes delivery and service inside
    a cycle), which one lifted ``searchsorted`` evaluates for every
    request at once.  If no projected issue sees depth >= capacity, the
-   projection *is* the bounded run — commit it wholesale.  Otherwise
-   the earliest offender ``t_stall`` is exact: the first real stall.
+   projection *is* the bounded run — :func:`_commit` folds it
+   wholesale.  Otherwise the earliest offender ``t_stall`` is exact:
+   the first real stall, and only that row leaves the projection.
 3. **Fall back, then re-enter.** When back-pressure binds, the shared
    event world of :mod:`repro.simulator.world` (the ``engine="event"``
-   stepper itself) is fed every request and replays the run from cycle
-   0 — exact, since nothing was committed — until either completion or
-   a *quiescent* cycle ``t >= t_stall`` (all queues empty, nothing in
-   flight, nobody blocked).  At quiescence every pending processor's
-   next issue lies strictly in the future, so the world exports the
-   remaining requests, they re-project from the seeded kernels and the
-   loop repeats, resuming the same world if the next certificate fails.
-   Each event chunk strictly passes at least one real stall burst, so
-   the alternation terminates; in the worst case (back-pressure never
-   quiesces) the engine degrades to a single event-world run — i.e. to
-   the event engine.
+   stepper itself) is fed every request of the row and replays it from
+   cycle 0 — exact, since nothing of it was committed — until either
+   completion or a *quiescent* cycle ``t >= t_stall`` (all queues
+   empty, nothing in flight, nobody blocked).  At quiescence every
+   pending processor's next issue lies strictly in the future, so the
+   world exports the remaining requests, they re-project from the
+   exported seeds and the loop repeats, resuming the same world if the
+   next certificate fails.  Each event chunk strictly passes at least
+   one real stall burst, so the alternation terminates; in the worst
+   case (back-pressure never quiesces) the row degrades to a single
+   event-world run — i.e. to the event engine.
 
 Every committed span is exact and the fallback *is* the event engine's
 stepper, so the engine is **bit-identical** to
@@ -42,7 +51,7 @@ step 1 and run at vectorized-``banksim`` speed.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -61,26 +70,97 @@ from .world import Acc, runaway_error
 
 __all__ = ["simulate_scatter_batch"]
 
+#: Issue cycles of a row without combined-away requests.
+_NONE = np.zeros(0, dtype=np.float64)
+_NONE.flags.writeable = False
+
 
 class _Work(NamedTuple):
-    """Remaining requests, in engine issue order (issue cycle, then
-    processor id — the order the event world would issue them)."""
+    """One row's remaining requests as projection input: the survivors'
+    issue cycles, banks and addresses, in engine issue order (issue
+    cycle, then processor id — the order the event world would issue
+    them), plus the issue cycles of requests absorbed by combining."""
 
     issue: np.ndarray
-    proc: np.ndarray
     bank: np.ndarray
     addr: np.ndarray
-    alive: np.ndarray
+    absorbed: np.ndarray
 
 
-def _first_stall(
-    capacity: int,
-    n_banks: int,
-    issue: np.ndarray,
-    arrival: np.ndarray,
-    start: np.ndarray,
-    banks: np.ndarray,
-) -> Optional[int]:
+class _Proj(NamedTuple):
+    """One row's unbounded projection: the survivors' arrival and start
+    cycles, their service costs (``None``: every cost is ``d``) and
+    banks, plus the absorbed requests' issue cycles."""
+
+    arrival: np.ndarray
+    start: np.ndarray
+    cost: Optional[np.ndarray]
+    bank: np.ndarray
+    absorbed: np.ndarray
+
+
+def _survivors(issue: np.ndarray, bank: np.ndarray, addr: np.ndarray,
+               alive: np.ndarray) -> _Work:
+    """Split requests into the survivors that reach a bank and the
+    issue cycles of those combining absorbed."""
+    if alive.all():
+        return _Work(issue, bank, addr, _NONE)
+    return _Work(issue[alive], bank[alive], addr[alive], issue[~alive])
+
+
+def _per_row(values: List[int]) -> Any:
+    """A kernel cost: one float when every row agrees (the kernels'
+    scalar fast path), else a per-row ``(rows,)`` vector."""
+    if len(set(values)) == 1:
+        return float(values[0])
+    return np.asarray(values, dtype=np.float64)
+
+
+def _project(
+    setups: Sequence[_Setup],
+    works: Sequence[_Work],
+    floors: Optional[np.ndarray] = None,
+    last_addr: Optional[np.ndarray] = None,
+) -> List[_Proj]:
+    """Solve the unbounded recurrence for a stack of rows that share one
+    survivor count, seeded with per-bank ``floors`` and row-buffer
+    ``last_addr`` (one row only; ``None``: a cold machine).
+
+    One row runs the 1-D kernels; a stack runs one ``(rows, m)`` call
+    with per-row costs.  Mixed stacks run the cached kernel with
+    ``hit == miss == d`` on uncached rows: every cost equals ``d``
+    there, so the prefix-sum recurrence reduces to the plain ``rank*d``
+    one and stays bit-identical to the uncached kernel."""
+    one = len(works) == 1
+    if one:
+        arrival = works[0].issue + float(setups[0].latency)
+        bank = works[0].bank
+    else:
+        arrival = np.stack([w.issue + float(s.latency)
+                            for s, w in zip(setups, works)])
+        bank = np.stack([w.bank for w in works])
+    d = _per_row([s.d for s in setups])
+    cost: Optional[np.ndarray] = None
+    if all(s.hit_delay is None for s in setups):
+        start = fifo_service_times(arrival, bank, d, init_free=floors)
+    else:
+        hit = _per_row([s.d if s.hit_delay is None else s.hit_delay
+                        for s in setups])
+        addr = works[0].addr if one else np.stack([w.addr for w in works])
+        start, cost = fifo_service_times_cached(
+            arrival, bank, addr, d, hit,
+            init_free=floors, init_addr=last_addr,
+        )
+    if one:
+        return [_Proj(arrival, start, cost, bank, works[0].absorbed)]
+    return [
+        _Proj(arrival[i], start[i], None if cost is None else cost[i],
+              w.bank, w.absorbed)
+        for i, w in enumerate(works)
+    ]
+
+
+def _first_stall(s: _Setup, proj: _Proj) -> Optional[int]:
     """Earliest projected issue cycle whose target queue is full, or
     ``None`` if the projection is stall-free (and therefore exact).
 
@@ -89,7 +169,10 @@ def _first_stall(
     processors issue before arrivals are delivered and banks serve, so
     only strictly earlier deliveries/starts occupy the queue.
     """
+    arrival, start, banks = proj.arrival, proj.start, proj.bank
     n = arrival.size
+    if s.capacity is None or n == 0:
+        return None
     order = np.lexsort((arrival, banks))
     s_bank = banks[order]
     s_arr = arrival[order]
@@ -102,80 +185,47 @@ def _first_stall(
     np.not_equal(s_bank[1:], s_bank[:-1], out=seg_start[1:])
     seg_id = np.cumsum(seg_start) - 1
     first_of_seg = np.flatnonzero(seg_start)
-    seg_of_bank = np.full(n_banks, -1, dtype=np.int64)
+    seg_of_bank = np.full(s.n_banks, -1, dtype=np.int64)
     seg_of_bank[s_bank[first_of_seg]] = np.arange(
         first_of_seg.size, dtype=np.int64
     )
 
     # One global searchsorted answers every per-bank rank query: lift
     # each segment above the previous one's value range (start >= the
-    # times queried, so one span covers both sorted arrays).
+    # times queried, so one span covers both sorted arrays).  An issue
+    # at q arrives at q + latency, so q - 1 = arrival - latency - 1.
     span = float(s_start.max()) + 2.0
     lift = seg_id * span
     qseg = seg_of_bank[banks]
-    query = (issue - 1.0) + qseg * span
+    query = (arrival - float(s.latency + 1)) + qseg * span
     base = first_of_seg[qseg]
     delivered = np.searchsorted(s_arr + lift, query, side="right") - base
     started = np.searchsorted(s_start + lift, query, side="right") - base
-    stalls = delivered - started >= capacity
+    stalls = delivered - started >= s.capacity
     if not stalls.any():
         return None
-    return int(issue[stalls].min())
+    return int(arrival[stalls].min()) - s.latency
 
 
-def _project(
+def _commit(
     s: _Setup,
-    work: _Work,
-    floors: Optional[np.ndarray],
-    last_addr: Optional[np.ndarray],
-) -> Tuple[Optional[int], Optional[tuple]]:
-    """Solve the unbounded recurrence for the remaining requests.
-
-    Returns ``(t_stall, payload)``: ``t_stall is None`` means the
-    stall-free certificate holds (vacuously, for unbounded machines)
-    and ``payload = (arrival, start, cost, banks, absorbed_issue)`` is
-    exact for the bounded machine; otherwise ``t_stall`` is the first
-    real stall cycle and ``payload`` is ``None``.
-    """
-    alive = work.alive
-    if alive.all():
-        a_issue, a_bank, a_addr = work.issue, work.bank, work.addr
-        absorbed = np.zeros(0, dtype=np.float64)
-    else:
-        a_issue = work.issue[alive]
-        a_bank = work.bank[alive]
-        a_addr = work.addr[alive]
-        absorbed = work.issue[~alive]
-    if a_issue.size == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return None, (empty, empty, None, np.zeros(0, dtype=np.int64),
-                      absorbed)
-    arrival = a_issue + s.latency
-    if s.hit_delay is not None:
-        start, cost = fifo_service_times_cached(
-            arrival, a_bank, a_addr, float(s.d), float(s.hit_delay),
-            init_free=floors, init_addr=last_addr,
-        )
-    else:
-        start = fifo_service_times(arrival, a_bank, float(s.d),
-                                   init_free=floors)
-        cost = None
-    if s.capacity is not None:
-        t_stall = _first_stall(s.capacity, s.n_banks, a_issue, arrival,
-                               start, a_bank)
-        if t_stall is not None:
-            return t_stall, None
-    return None, (arrival, start, cost, a_bank, absorbed)
-
-
-def _commit(s: _Setup, acc: Acc, payload: tuple) -> None:
+    acc: Acc,
+    proj: _Proj,
+    sweep: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
     """Fold a certified projection into the accumulators (raising the
-    same runaway diagnostic the scalar engines would)."""
-    arrival, start, cost, a_bank, absorbed = payload
+    same runaway diagnostic the event world would) and return the
+    survivors' finish cycles.
 
-    # Runaway parity: the scalar engines raise iff they would process a
-    # cycle beyond max_cycles, and their last processed cycle is the
-    # last service start (survivors) or issue (absorbed requests).
+    The queue high-water marks sweep ``sweep``'s ``(arrival, start,
+    bank)`` events when given, else this projection's own: a stream
+    chunk adds the events still pending from earlier chunks, because
+    its queues are not empty at the seam."""
+    arrival, start, cost, bank, absorbed = proj
+
+    # Runaway parity: the event world raises iff it would process a
+    # cycle beyond max_cycles, and its last processed cycle is the last
+    # service start (survivors) or issue (absorbed requests).
     last_event = int(start.max()) if start.size else 0
     if absorbed.size:
         last_event = max(last_event, int(absorbed.max()))
@@ -188,17 +238,17 @@ def _commit(s: _Setup, acc: Acc, payload: tuple) -> None:
         raise runaway_error(s.max_cycles, s.n - done, acc.stalled,
                             s.capacity)
 
+    finish = start + (cost if cost is not None else float(s.d))
     if start.size:
         waits = start - arrival
         acc.total_wait += int(waits.sum())
         w = int(waits.max())
         if w > acc.max_wait:
             acc.max_wait = w
-        finish = start + (cost if cost is not None else float(s.d))
         f = int(finish.max())
         if f > acc.last_finish:
             acc.last_finish = f
-        acc.bank_served += np.bincount(a_bank, minlength=s.n_banks)
+        acc.bank_served += np.bincount(bank, minlength=s.n_banks)
         acc.completed += int(start.size)
         if acc.busy is not None and acc.q_high is not None:
             per_cost = (
@@ -206,11 +256,12 @@ def _commit(s: _Setup, acc: Acc, payload: tuple) -> None:
                 else np.full(start.size, float(s.d))
             )
             acc.busy += np.bincount(
-                a_bank, weights=per_cost, minlength=s.n_banks
+                bank, weights=per_cost, minlength=s.n_banks
             )
             np.maximum(
                 acc.q_high,
-                _queue_high_water(arrival, start, a_bank, s.n_banks),
+                _queue_high_water(*(sweep or (arrival, start, bank)),
+                                  s.n_banks),
                 out=acc.q_high,
             )
     if absorbed.size:
@@ -220,10 +271,21 @@ def _commit(s: _Setup, acc: Acc, payload: tuple) -> None:
         if f > acc.last_finish:
             acc.last_finish = f
         acc.completed += int(absorbed.size)
+    return finish
+
+
+def _settle(s: _Setup, acc: Acc, proj: _Proj) -> Optional[int]:
+    """Commit one row's projection if its stall certificate holds
+    (vacuously, on unbounded machines); otherwise commit nothing and
+    return the first stall cycle."""
+    t_stall = _first_stall(s, proj)
+    if t_stall is None:
+        _commit(s, acc, proj)
+    return t_stall
 
 
 class _Scalar:
-    """The batch engine's handle on the shared event world: fed every
+    """The fallback's handle on the shared event world: fed every
     request on the first certificate miss, stepped to quiescence past
     each ``t_stall``, and exported for re-projection."""
 
@@ -242,36 +304,59 @@ class _Scalar:
         """Remaining requests, bank floors and row-buffer seeds as
         projection inputs (see :meth:`EventWorld.export`)."""
         work, floors, last_addr = self.world.export()
-        return _Work(*work), floors, last_addr
+        return _survivors(*work), floors, last_addr
+
+
+def _fold_rows(setups: Sequence[_Setup]) -> List[Tuple[Acc, Optional[int]]]:
+    """Project every row, stacking rows with one survivor count into one
+    kernel call, and commit each row whose certificate holds.
+
+    Returns each row's accumulator with the cycle its certificate
+    failed at (``None``: committed whole; empty rows commit nothing).
+    Rows that failed go on through :func:`_fall_back`."""
+    accs = [_new_acc(s) for s in setups]
+    stalls: List[Optional[int]] = [None] * len(setups)
+    works: Dict[int, _Work] = {}
+    groups: Dict[int, List[int]] = {}
+    for r, s in enumerate(setups):
+        if s.n:
+            assert s.batch is not None and s.banks is not None \
+                and s.survives is not None
+            works[r] = _survivors(s.batch.issue, s.banks,
+                                  s.batch.addresses, s.survives)
+            # Combining absorption and ragged grids just form more
+            # (possibly singleton) groups.
+            groups.setdefault(s.n_survivors, []).append(r)
+    for members in groups.values():
+        projs = _project([setups[r] for r in members],
+                         [works[r] for r in members])
+        for r, proj in zip(members, projs):
+            stalls[r] = _settle(setups[r], accs[r], proj)
+    return list(zip(accs, stalls))
+
+
+def _fall_back(s: _Setup, acc: Acc, t_stall: int) -> None:
+    """Finish a row whose certificate failed at ``t_stall``: the shared
+    event world replays it to quiescence past each failure and the
+    remainder re-projects from the exported seeds, until the world
+    completes or a certificate holds."""
+    scalar = _Scalar(s)
+    while not scalar.run(s, acc, t_stall):
+        work, floors, last_addr = scalar.export(s)
+        (proj,) = _project((s,), (work,), floors, last_addr)
+        stall = _settle(s, acc, proj)
+        if stall is None:
+            return
+        t_stall = stall
 
 
 def run_batch(machine: MachineConfig, s: _Setup) -> SimResult:
     """Engine body invoked by :func:`~repro.simulator.cycle.
-    simulate_scatter_cycle` with ``engine="batch"``."""
-    acc = _new_acc(s)
-    assert s.batch is not None and s.banks is not None \
-        and s.survives is not None
-    work = _Work(
-        issue=s.batch.issue,
-        proc=s.batch.proc,
-        bank=s.banks,
-        addr=s.batch.addresses,
-        alive=s.survives,
-    )
-    floors: Optional[np.ndarray] = None
-    last_addr: Optional[np.ndarray] = None
-    scalar: Optional[_Scalar] = None
-    while True:
-        t_stall, payload = _project(s, work, floors, last_addr)
-        if t_stall is None:
-            assert payload is not None
-            _commit(s, acc, payload)
-            break
-        if scalar is None:
-            scalar = _Scalar(s)
-        if scalar.run(s, acc, t_stall):
-            break
-        work, floors, last_addr = scalar.export(s)
+    simulate_scatter_cycle` with ``engine="batch"``: the one-row call of
+    the grid's project -> certify -> fall back loop."""
+    ((acc, t_stall),) = _fold_rows((s,))
+    if t_stall is not None:
+        _fall_back(s, acc, t_stall)
     return _finish(machine, s, "batch", acc)
 
 

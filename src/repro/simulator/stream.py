@@ -20,10 +20,14 @@ All the state one chunk hands the next is therefore tiny and per-bank:
 * ``init_addr`` — each bank's row-buffer address under the bank-cache
   extension (``-1`` = cold).
 
-Unbounded machines project every chunk straight through the batch
-kernels of :mod:`repro.simulator.banksim` carrying those seeds: the
-stall certificate of the batch engine holds *vacuously* when
-``queue_capacity is None``, so the projection is the exact bounded run.
+Unbounded machines project every chunk through the batch engine's own
+projector and ``_commit`` (:mod:`repro.simulator.cycle_batch`) carrying
+those seeds — a one-shot run is a one-chunk stream: the stall
+certificate holds *vacuously* when ``queue_capacity is None``, so the
+projection is the exact bounded run.  The stream itself keeps only the
+seed carry and, with telemetry, the queue high-water sweep of events
+still pending at the seam.
+
 Bounded machines are the certificate-miss case by construction — a
 contiguous stream essentially never settles before the horizon — so
 their chunks run through the one event world of
@@ -64,18 +68,14 @@ from numpy.typing import ArrayLike
 
 from .._util import as_addresses
 from ..core.contention import BankMap
-from ..errors import ParameterError, PatternError, SimulationError
-from .banksim import (
-    _queue_high_water,
-    fifo_service_times,
-    fifo_service_times_cached,
-)
-from .cycle import _require_int
+from ..errors import ParameterError, SimulationError
+from .cycle import _bank_ids, _finish, _machine_setup, _max_cycles, _new_acc
+from .cycle_batch import _NONE, _commit, _project, _Work
 from .machine import MachineConfig, require_machine
 from .request import Assignment
 from .sanitize import sanitize_enabled
 from .stats import SimResult
-from .world import Acc, EventWorld, runaway_error
+from .world import EventWorld
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -175,12 +175,8 @@ class StreamSimulator:
         max_chunk: int = DEFAULT_CHUNK,
     ) -> None:
         require_machine(machine, "StreamSimulator")
-        if machine.n_sections > 1 and machine.section_gap > 0:
-            raise ParameterError(
-                "the streaming simulator does not model network sections; "
-                "use simulate_scatter (or disable section_gap) for "
-                "sectioned machines"
-            )
+        s = _machine_setup(machine, bool(telemetry),
+                           sanitize_enabled(sanitize))
         if machine.combining:
             raise ParameterError(
                 "the streaming simulator does not support combining: "
@@ -195,57 +191,36 @@ class StreamSimulator:
             raise ParameterError(
                 f"max_chunk must be >= 1, got {max_chunk!r}"
             )
-        g = _require_int("g", machine.g)
-        d = _require_int("d", machine.d)
-        latency = _require_int("latency", machine.latency)
-        L = _require_int("L", machine.L)
-        hit_delay = (
-            _require_int("cache_hit_delay", machine.cache_hit_delay)
-            if machine.cache_hit_delay is not None
-            else None
-        )
-        if d < 1 or g < 1 or (hit_delay is not None and hit_delay < 1):
-            raise ParameterError(
-                "cycle simulator requires integer g, d, cache_hit_delay >= 1"
-            )
         self._machine = machine
         self._bank_map = bank_map
-        self._p = machine.p
-        self._n_banks = machine.n_banks
-        self._g = g
-        self._d = d
-        self._latency = latency
-        self._L = L
-        self._hit_delay = hit_delay
-        self._capacity = machine.queue_capacity
-        self._telemetry = bool(telemetry)
-        self._sanitize = sanitize_enabled(sanitize)
         self._max_chunk = int(max_chunk)
-        counters = self._telemetry or self._sanitize
-        self._acc = Acc(self._n_banks, self._p, counters)
-        self._n = 0
+        # The one-shot engines' setup for the prefix consumed so far
+        # (without its request arrays): see _grow.
+        self._s = s
+        self._acc = _new_acc(s)
         self._chunk_index = 0
-        self._last_time = float(L)
+        self._last_time = float(s.L)
         self._last_wait = 0
-        # Per-bank carry state for the vectorized projection path.
-        self._floors = np.zeros(self._n_banks, dtype=np.float64)
+        # Per-bank carry state for the projection path.
+        self._floors = np.zeros(s.n_banks, dtype=np.float64)
         self._last_addr: Optional[np.ndarray] = (
-            np.full(self._n_banks, -1, dtype=np.int64)
-            if hit_delay is not None else None
+            np.full(s.n_banks, -1, dtype=np.int64)
+            if s.hit_delay is not None else None
         )
-        # Pending events for the chunked queue-high-water sweep: every
-        # request whose service start lies at or past the last horizon
-        # may still overlap a future chunk's arrivals.
-        self._pend_arrival = np.zeros(0, dtype=np.float64)
-        self._pend_start = np.zeros(0, dtype=np.float64)
-        self._pend_bank = np.zeros(0, dtype=np.int64)
+        # Pending (arrival, start, bank) events for the chunked queue
+        # high-water sweep: every request whose service start lies at or
+        # past the last horizon may still overlap a future chunk's
+        # arrivals.
+        self._pend: Tuple[np.ndarray, ...] = (
+            _NONE, _NONE, np.zeros(0, dtype=np.int64)
+        )
         # Bounded queues miss the stall certificate by construction (a
         # contiguous stream does not settle before the horizon), so
         # they run in the exact pausable event world instead.
         self._world: Optional[EventWorld] = (
-            EventWorld(self._p, self._n_banks, g, d, latency, hit_delay,
-                       self._capacity)
-            if self._capacity is not None else None
+            EventWorld(s.p, s.n_banks, s.g, s.d, s.latency, s.hit_delay,
+                       s.capacity)
+            if s.capacity is not None else None
         )
         self._digest_chain = _DIGEST_SEED
         self._digest_tail = b""
@@ -253,7 +228,7 @@ class StreamSimulator:
     @property
     def n(self) -> int:
         """Total addresses consumed so far."""
-        return self._n
+        return self._s.n
 
     @property
     def machine(self) -> MachineConfig:
@@ -286,16 +261,17 @@ class StreamSimulator:
             lo += self._max_chunk
         self._absorb_digest(addr)
         result, total_wait = self._prefix()
-        if result.n != self._n or int(result.bank_loads.sum()) != self._n:
+        n = self._s.n
+        if result.n != n or int(result.bank_loads.sum()) != n:
             raise SimulationError(
-                f"stream conservation violated: consumed {self._n} "
+                f"stream conservation violated: consumed {n} "
                 f"requests but the prefix result accounts for "
                 f"{int(result.bank_loads.sum())} (n={result.n})"
             )
         update = StreamUpdate(
             chunk_index=self._chunk_index,
             chunk_n=chunk_n,
-            n=self._n,
+            n=n,
             result=result,
             delta_time=result.time - self._last_time,
             delta_wait=total_wait - self._last_wait,
@@ -312,114 +288,54 @@ class StreamSimulator:
 
     # -- chunk consumption -------------------------------------------------
 
-    def _banks_for(self, chunk: np.ndarray) -> np.ndarray:
-        if self._bank_map is None:
-            return (chunk % self._n_banks).astype(np.int64)
-        banks = np.asarray(
-            self._bank_map(chunk, self._n_banks)
-        ).astype(np.int64)
-        if banks.shape != chunk.shape:
-            raise PatternError(
-                "bank_map must return one bank per address"
-            )
-        if banks.size and (
-            int(banks.min()) < 0 or int(banks.max()) >= self._n_banks
-        ):
-            raise PatternError(
-                f"bank_map produced banks outside [0, {self._n_banks})"
-            )
-        return banks
+    def _grow(self, n: int) -> None:
+        """Make the setup describe the ``n``-request prefix, as the
+        one-shot engines' setup would (count, runaway ceiling, h_p)."""
+        s = self._s
+        s.n = s.n_survivors = n
+        s.max_cycles = _max_cycles(s, n)
+        s.h_p = -(-n // s.p)
 
     def _consume(self, chunk: np.ndarray) -> None:
         """Fold one <= max_chunk piece into the rolling simulation."""
-        m = int(chunk.size)
-        idx = np.arange(self._n, self._n + m, dtype=np.int64)
-        banks = self._banks_for(chunk)
+        s = self._s
+        banks = _bank_ids(self._bank_map, chunk, s.n_banks)
+        idx = np.arange(s.n, s.n + chunk.size, dtype=np.int64)
+        self._grow(s.n + int(chunk.size))
         if self._world is None:
             # Unbounded queues: the stall certificate holds vacuously,
             # so the seeded projection is the exact run.
-            issue = (idx // self._p).astype(np.float64) * float(self._g)
-            self._commit_projection(chunk, banks, issue)
+            issue = (idx // s.p).astype(np.float64) * float(s.g)
+            self._commit_chunk(chunk, banks, issue)
         else:
             # Certificate miss: exact event world up to the horizon —
             # the scheduled issue cycle of the first unfed request.
-            proc = (idx % self._p).astype(np.int64)
-            self._world.feed(proc, banks, chunk)
-            n_fed = self._n + m
-            self._world.run(self._acc, self._bound(n_fed),
-                            horizon=(n_fed // self._p) * self._g)
-        self._n += m
+            self._world.feed((idx % s.p).astype(np.int64), banks, chunk)
+            self._world.run(self._acc, s.max_cycles,
+                            horizon=(s.n // s.p) * s.g)
 
-    def _commit_projection(
-        self, chunk: np.ndarray, banks: np.ndarray, issue: np.ndarray
-    ) -> None:
-        """Project one chunk through the seeded batch kernels and fold
-        it into the accumulators (the batch engine's commit, carrying
-        ``init_free``/``init_addr`` across chunks)."""
-        acc = self._acc
-        m = int(chunk.size)
-        arrival = issue + float(self._latency)
-        cost: Optional[np.ndarray]
-        if self._last_addr is not None:
-            assert self._hit_delay is not None
-            start, cost = fifo_service_times_cached(
-                arrival, banks, chunk, float(self._d),
-                float(self._hit_delay),
-                init_free=self._floors, init_addr=self._last_addr,
-            )
-        else:
-            start = fifo_service_times(
-                arrival, banks, float(self._d), init_free=self._floors
-            )
-            cost = None
-
-        # Runaway parity with the one-shot engines' max_cycles bound,
-        # recomputed for the cumulative prefix.
-        bound = self._bound(self._n + m)
-        if int(start.max()) > bound:
-            done = acc.completed + int((start <= bound).sum())
-            raise runaway_error(bound, self._n + m - done, acc.stalled,
-                                self._capacity)
-
-        waits = start - arrival
-        acc.total_wait += int(waits.sum())
-        w = int(waits.max())
-        if w > acc.max_wait:
-            acc.max_wait = w
-        finish = start + (cost if cost is not None else float(self._d))
-        f = int(finish.max())
-        if f > acc.last_finish:
-            acc.last_finish = f
-        acc.bank_served += np.bincount(banks, minlength=self._n_banks)
-        acc.completed += m
-        if acc.busy is not None and acc.q_high is not None:
-            per_cost = (
-                cost if cost is not None else np.full(m, float(self._d))
-            )
-            acc.busy += np.bincount(
-                banks, weights=per_cost, minlength=self._n_banks
-            )
+    def _commit_chunk(self, chunk: np.ndarray, banks: np.ndarray,
+                      issue: np.ndarray) -> None:
+        """Project one chunk from the carried seeds, commit it, and carry
+        the seeds (and pending high-water events) on."""
+        s = self._s
+        (proj,) = _project((s,), (_Work(issue, banks, chunk, _NONE),),
+                           self._floors, self._last_addr)
+        sweep = None
+        if self._acc.q_high is not None:
             # Queue depths can straddle chunk seams, so sweep the union
             # of this chunk with the still-pending events, then keep
             # only those that may overlap the next chunk (service start
             # at or past the new horizon; settled events can never be
             # part of a future maximum).
-            events_arrival = np.concatenate([self._pend_arrival, arrival])
-            events_start = np.concatenate([self._pend_start, start])
-            events_bank = np.concatenate([self._pend_bank, banks])
-            np.maximum(
-                acc.q_high,
-                _queue_high_water(
-                    events_arrival, events_start, events_bank,
-                    self._n_banks,
-                ),
-                out=acc.q_high,
+            sweep = tuple(
+                np.concatenate(pair)
+                for pair in zip(self._pend, (proj.arrival, proj.start, banks))
             )
-            t_cut = float(((self._n + m) // self._p) * self._g)
-            keep = events_start >= t_cut
-            self._pend_arrival = events_arrival[keep]
-            self._pend_start = events_start[keep]
-            self._pend_bank = events_bank[keep]
+        finish = _commit(s, self._acc, proj, sweep)
+        if sweep is not None:
+            keep = sweep[1] >= float((s.n // s.p) * s.g)
+            self._pend = tuple(events[keep] for events in sweep)
         # Carry state: per-bank FIFO order equals array order here, and
         # finishes are nondecreasing per bank, so fancy assignment's
         # last-occurrence-wins leaves each touched bank's free-at floor
@@ -428,31 +344,18 @@ class StreamSimulator:
         if self._last_addr is not None:
             self._last_addr[banks] = chunk
 
-    def _bound(self, n: int) -> int:
-        """The one-shot engines' runaway ceiling for an ``n``-request run."""
-        bound = n * self._d + n * self._g + self._latency + 1000
-        if self._capacity is not None:
-            bound += (n // self._capacity + 1) * (self._latency + self._g + 2)
-        return int(bound)
-
     # -- prefix results ----------------------------------------------------
 
     def _prefix(self) -> Tuple[SimResult, int]:
         """Prefix result plus the exact integer total bank wait."""
-        acc = self._acc
-        if self._world is not None and acc.completed < self._n:
+        s, acc = self._s, self._acc
+        if self._world is not None and acc.completed < s.n:
             # Requests are still in flight behind the horizon: drain a
             # clone to completion (exactly the one-shot suffix for the
             # fed prefix).  The live world never runs past the horizon.
             acc = acc.clone()
-            self._world.clone().run(acc, self._bound(self._n))
-        n = self._n
-        result = acc.result(
-            self._machine, n, self._L, telemetry=self._telemetry,
-            sanitize=self._sanitize, engine="stream", h_p=-(-n // self._p),
-            n_survivors=n,
-        )
-        return result, int(acc.total_wait)
+            self._world.clone().run(acc, s.max_cycles)
+        return _finish(self._machine, s, "stream", acc), int(acc.total_wait)
 
     # -- rolling digest ----------------------------------------------------
 
@@ -472,7 +375,7 @@ class StreamSimulator:
         """Complete resumable state as plain picklable structures."""
         return {
             "version": 2,
-            "n": self._n,
+            "n": self._s.n,
             "chunk_index": self._chunk_index,
             "last_time": self._last_time,
             "last_wait": self._last_wait,
@@ -483,11 +386,7 @@ class StreamSimulator:
             "last_addr": (
                 None if self._last_addr is None else self._last_addr.copy()
             ),
-            "pend": (
-                self._pend_arrival.copy(),
-                self._pend_start.copy(),
-                self._pend_bank.copy(),
-            ),
+            "pend": tuple(events.copy() for events in self._pend),
             "world": None if self._world is None else self._world.state(),
         }
 
@@ -502,10 +401,10 @@ class StreamSimulator:
                 f"unsupported stream checkpoint version "
                 f"{state.get('version')!r}"
             )
-        if self._n != 0:
+        if self._s.n != 0:
             raise ParameterError(
                 "load_state requires a fresh StreamSimulator (it has "
-                f"already consumed {self._n} addresses)"
+                f"already consumed {self._s.n} addresses)"
             )
         acc_state = state["acc"]
         if (state["world"] is None) != (self._world is None) \
@@ -515,7 +414,7 @@ class StreamSimulator:
                 "stream checkpoint was taken under a different "
                 "machine/telemetry configuration"
             )
-        self._n = int(state["n"])
+        self._grow(int(state["n"]))
         self._chunk_index = int(state["chunk_index"])
         self._last_time = float(state["last_time"])
         self._last_wait = int(state["last_wait"])
@@ -525,10 +424,7 @@ class StreamSimulator:
         self._floors = state["floors"].copy()
         if state["last_addr"] is not None:
             self._last_addr = state["last_addr"].copy()
-        pend_arrival, pend_start, pend_bank = state["pend"]
-        self._pend_arrival = pend_arrival.copy()
-        self._pend_start = pend_start.copy()
-        self._pend_bank = pend_bank.copy()
+        self._pend = tuple(events.copy() for events in state["pend"])
         if state["world"] is not None:
             assert self._world is not None
             self._world.load_state(state["world"])
@@ -540,7 +436,7 @@ class StreamSimulator:
             "machine": self._machine,
             "bank_map": self._bank_map,
             "assignment": "round_robin",
-            "telemetry": self._telemetry,
+            "telemetry": self._s.telemetry,
             "sanitize_counters": self._acc.busy is not None,
             "prefix_digest": prefix_digest,
             "n": n,
@@ -557,7 +453,7 @@ class StreamSimulator:
         from ..experiments import runner
 
         digest = self.prefix_digest
-        kwargs = self._checkpoint_kwargs(digest, self._n)
+        kwargs = self._checkpoint_kwargs(digest, self._s.n)
         if runner.cache_store(stream_checkpoint, kwargs, self.state()):
             return digest
         return None

@@ -409,9 +409,9 @@ class EventWorld:
                               np.ndarray]:
         """Remaining requests as projection inputs, for a quiescent world.
 
-        Returns ``((issue, proc, bank, addr, alive), floors,
-        last_addr)``: processor ``q``'s ``j``-th pending request issues
-        at ``next_issue[q] + j*g`` (exact while nobody is blocked; the
+        Returns ``((issue, bank, addr, alive), floors, last_addr)``:
+        processor ``q``'s ``j``-th pending request issues at
+        ``next_issue[q] + j*g`` (exact while nobody is blocked; the
         next stall certificate finds the next stall), sorted in issue
         order (cycle, then processor id); banks carry their free-at
         floors and row-buffer seeds (``-1`` = cold)."""
@@ -426,8 +426,7 @@ class EventWorld:
         issue = (np.repeat(np.asarray(self.next_issue, dtype=np.float64),
                            counts) + rank * float(self.g))
         order = np.lexsort((proc, issue))
-        work = (issue[order], proc[order], bank[order], addr[order],
-                alive[order])
+        work = (issue[order], bank[order], addr[order], alive[order])
         return (work, np.asarray(self.free_at, dtype=np.float64),
                 np.asarray(self.last_addr, dtype=np.int64))
 

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
-from repro.simulator import simulate_scatter, simulate_scatter_cycle, toy_machine
+from repro.errors import ParameterError, PatternError
+from repro.simulator import (
+    StreamSimulator,
+    simulate_scatter,
+    simulate_scatter_cycle,
+    simulate_scatter_grid,
+    toy_machine,
+)
 from repro.workloads import broadcast, hotspot, uniform_random
 
 
@@ -122,3 +128,30 @@ class TestBoundedQueues:
         unbounded = simulate_scatter_cycle(m, addr).time
         tight = simulate_scatter_cycle(m.with_(queue_capacity=4), addr).time
         assert tight / unbounded < 3.0
+
+
+#: Bank maps that break the one-id-in-[0, n_banks)-per-address contract.
+_BAD_MAPS = {
+    "negative": lambda a, nb: np.where(a % 3 == 0, -1, a % nb),
+    "too_large": lambda a, nb: np.where(a % 3 == 0, nb, a % nb),
+    "one_short": lambda a, nb: (a % nb)[:-1],
+}
+
+
+class TestBankMapChecks:
+    """Every cycle-level entry point refuses a bad bank map the same
+    way, before simulating anything: a ``-1`` would otherwise index the
+    last bank in the tick and event engines' per-bank lists."""
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_MAPS))
+    def test_bad_map_raises_pattern_error(self, kind):
+        bank_map = _BAD_MAPS[kind]
+        m = toy_machine(p=4, x=2, d=6)
+        addr = uniform_random(64, 1 << 10, seed=1)
+        for engine in ("tick", "event", "batch"):
+            with pytest.raises(PatternError):
+                simulate_scatter_cycle(m, addr, bank_map, engine=engine)
+        with pytest.raises(PatternError):
+            simulate_scatter_grid(m, [addr, addr], bank_map)
+        with pytest.raises(PatternError):
+            StreamSimulator(m, bank_map).feed(addr)

@@ -1,12 +1,15 @@
-"""The shared event world against the independent tick oracle.
+"""The shared event world and the shared projector against the
+independent tick oracle.
 
 ``engine="event"``, the batch engine's back-pressure fallback and
 bounded-queue stream chunks all step the one event world of
-:mod:`repro.simulator.world`, so comparing those paths with each other
-only checks the world against itself.  ``engine="tick"`` is the one
-independent oracle left: every check here compares with it, telemetry
-on, including the per-processor stall counts the world accrues in
-closed form for parked processors.
+:mod:`repro.simulator.world`; the batch engine, the grid (of which
+batch is the one-row call) and unbounded stream chunks all project and
+commit through :mod:`repro.simulator.cycle_batch`.  Comparing those
+paths with each other only checks the shared code against itself, so
+``engine="tick"`` is the one independent oracle left: every check here
+compares with it, telemetry on, including the per-processor stall
+counts the world accrues in closed form for parked processors.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from repro.mapping.hashing import HASH_FAMILIES
 from repro.simulator import (
     StreamSimulator,
     simulate_scatter_cycle,
+    simulate_scatter_grid,
     toy_machine,
 )
 from repro.simulator import cycle_batch
@@ -94,6 +98,39 @@ class TestEveryPathMatchesTick:
             _assert_identical(sim.feed(block).result,
                               _tick(machine, addr[:fed]))
 
+    @given(
+        rows=st.lists(
+            st.tuples(_machines(), st.integers(0, 120),
+                      st.integers(0, 10_000)),
+            min_size=1, max_size=4,
+        ),
+        n=st.integers(1, 200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_grid_rows(self, rows, n):
+        # One length for every row, so rows without combining stack
+        # into one kernel call even across mixed machines; bounded
+        # rows whose certificate fails finish through the fallback.
+        machines = [m for m, _, _ in rows]
+        patterns = [_pattern(n, hot, seed) for _, hot, seed in rows]
+        fused = simulate_scatter_grid(machines, patterns, telemetry=True)
+        for got, m, addr in zip(fused, machines, patterns):
+            _assert_identical(got, _tick(m, addr))
+
+
+def _three_bursts():
+    """Three hot bursts separated by light traffic, on a machine whose
+    capacity-2 queues overflow in each burst."""
+    rng = np.random.default_rng(2)
+    addr = np.concatenate([
+        part for k in range(3) for part in (
+            np.full(30, 7 + k, dtype=np.int64),
+            rng.integers(0, 1 << 12, 90),
+        )
+    ])
+    return toy_machine(p=3, x=2, d=2, g=2, latency=0,
+                       queue_capacity=2), addr
+
 
 class TestWorldSeams:
     def test_batch_resumes_the_world_across_seams(self, monkeypatch):
@@ -114,18 +151,57 @@ class TestWorldSeams:
 
         monkeypatch.setattr(cycle_batch._Scalar, "run", run_spy)
         monkeypatch.setattr(cycle_batch._Scalar, "export", export_spy)
-        rng = np.random.default_rng(2)
-        addr = np.concatenate([
-            part for k in range(3) for part in (
-                np.full(30, 7 + k, dtype=np.int64),
-                rng.integers(0, 1 << 12, 90),
-            )
-        ])
-        m = toy_machine(p=3, x=2, d=2, g=2, latency=0, queue_capacity=2)
+        m, addr = _three_bursts()
         batch = _engine(m, addr, "batch")
         assert calls["export"] >= 3 and calls["run"] >= 3
         assert batch.stalled_cycles > 0
         _assert_identical(batch, _tick(m, addr))
+
+    def test_grid_row_resumes_the_world_across_seams(self, monkeypatch):
+        # The same bursts as a grid row stacked with an unbounded row:
+        # the bounded row leaves the fused projection and resumes one
+        # world across every seam; the unbounded row stays committed.
+        calls = {"export": 0}
+        orig_export = cycle_batch._Scalar.export
+
+        def export_spy(self, s):
+            calls["export"] += 1
+            return orig_export(self, s)
+
+        monkeypatch.setattr(cycle_batch._Scalar, "export", export_spy)
+        m, addr = _three_bursts()
+        machines = [m, m.with_(queue_capacity=None)]
+        fused = simulate_scatter_grid(machines, [addr, addr],
+                                      telemetry=True)
+        assert calls["export"] >= 3
+        assert fused[0].stalled_cycles > 0
+        for got, machine in zip(fused, machines):
+            _assert_identical(got, _tick(machine, addr))
+
+    def test_grid_maps_each_row_once(self):
+        # A row whose certificate fails finishes from the setup the
+        # grid already built, so its bank map is not evaluated again.
+        calls = [0, 0, 0]
+
+        def counting(row):
+            def bank_map(addresses, n_banks):
+                calls[row] += 1
+                return addresses % n_banks
+            return bank_map
+
+        stalling = toy_machine(p=4, x=4, d=6, queue_capacity=1)
+        machines = [stalling, toy_machine(p=4, x=4, d=6),
+                    toy_machine(p=4, x=4, d=6, queue_capacity=1000)]
+        patterns = [broadcast(200, 5), broadcast(200, 5),
+                    uniform_random(200, 1 << 16, seed=1)]
+        fused = simulate_scatter_grid(
+            machines, patterns, [counting(r) for r in range(3)],
+            telemetry=True,
+        )
+        assert calls == [1, 1, 1]
+        assert fused[0].stalled_cycles > 0
+        for got, m, addr in zip(fused, machines, patterns):
+            _assert_identical(got, _tick(m, addr))
 
     def test_paused_stream_with_parked_processors(self):
         # Capacity-1 queues behind one hot address: at every horizon

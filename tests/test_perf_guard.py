@@ -111,3 +111,49 @@ class TestPerfGuard:
             keys=("event_seconds", "grid_fused_seconds"))
         assert verdict.startswith("ok")
         assert "current run lacks grid_fused_seconds" in verdict
+
+    def test_changed_bounded_n_skips_only_bounded_keys(self):
+        # The bounded timings measure another workload now; the
+        # unbounded 64K timing did not change and stays gated.
+        keys = ("event_seconds", "event_bounded_seconds",
+                "batch_bounded_seconds", "grid_bounded_seconds")
+        base = {"benchmark": "cycle_engine", "machine": "Cray J90",
+                "n": 65536, "k": 65536, "telemetry": "off",
+                "bounded_n": 4096, "grid_bounded_rows": 8,
+                "event_seconds": 0.1, "event_bounded_seconds": 0.01,
+                "batch_bounded_seconds": 0.01, "grid_bounded_seconds": 0.04}
+        bigger = dict(base, bounded_n=65536, event_bounded_seconds=1.0,
+                      batch_bounded_seconds=1.0, grid_bounded_seconds=4.0)
+        verdict = perf_guard.compare(bigger, base, 2.0, keys=keys)
+        for key in keys[1:]:
+            assert f"{key}: workload changed (bounded_n" in verdict
+        assert "event_seconds: 0.100s -> 0.100s" in verdict
+        with pytest.raises(SystemExit, match="event_seconds"):
+            perf_guard.compare(dict(bigger, event_seconds=0.35), base, 2.0,
+                               keys=keys)
+
+    def test_changed_grid_n_skips_only_grid_fused(self):
+        keys = ("event_seconds", "batch_bounded_seconds",
+                "grid_fused_seconds")
+        base = {"benchmark": "cycle_engine", "machine": "Cray J90",
+                "n": 65536, "k": 65536, "telemetry": "off",
+                "bounded_n": 4096, "grid_points": 64, "grid_n": 256,
+                "event_seconds": 0.1, "batch_bounded_seconds": 0.01,
+                "grid_fused_seconds": 0.005}
+        other = dict(base, grid_n=4096, grid_fused_seconds=0.5)
+        verdict = perf_guard.compare(other, base, 2.0, keys=keys)
+        assert "grid_fused_seconds: workload changed (grid_n" in verdict
+        assert "event_seconds: 0.100s" in verdict
+        assert "batch_bounded_seconds: 0.010s" in verdict
+        with pytest.raises(SystemExit, match="batch_bounded_seconds"):
+            perf_guard.compare(dict(other, batch_bounded_seconds=0.05),
+                               base, 2.0, keys=keys)
+
+    def test_every_gated_key_names_its_workload(self):
+        for _cur, _base, keys in perf_guard.BENCHES:
+            for key in keys:
+                assert key in perf_guard.WORKLOAD_KEYS
+
+    def test_cycle_bench_gates_grid_fallback_path(self):
+        keys = {cur.name: keys for cur, _base, keys in perf_guard.BENCHES}
+        assert "grid_bounded_seconds" in keys["BENCH_cycle_engine.json"]

@@ -9,7 +9,8 @@ previous accepted runs stored next to them as ``*.prev.json``:
   and batch cycle engines, on the unbounded hot-spot scatter and on
   the bounded stall path (``event_bounded_seconds``,
   ``batch_bounded_seconds``), plus the fused whole-grid pass
-  (``grid_fused_seconds``);
+  (``grid_fused_seconds``) and a fused grid whose bounded rows fall
+  back (``grid_bounded_seconds``);
 * ``BENCH_banksim.json`` (written by
   ``pytest benchmarks/test_perf_banksim.py``) — gates the segmented
   FIFO kernel and the closed-form scatter path;
@@ -21,7 +22,9 @@ previous accepted runs stored next to them as ``*.prev.json``:
   streaming simulator's sustained throughput.
 
 Exits nonzero if any gated timing slowed down by more than the allowed
-factor (default 2x) on the same workload.
+factor (default 2x) on the same workload.  Each timing is compared only
+when the workload keys it depends on (:data:`WORKLOAD_KEYS`) match the
+baseline's; a timing whose workload changed is skipped on its own.
 
 Usage::
 
@@ -43,7 +46,7 @@ import json
 import pathlib
 import shutil
 import sys
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CURRENT = ROOT / "BENCH_cycle_engine.json"
@@ -53,7 +56,8 @@ BASELINE = ROOT / "BENCH_cycle_engine.prev.json"
 BENCHES: Tuple[Tuple[pathlib.Path, pathlib.Path, Tuple[str, ...]], ...] = (
     (CURRENT, BASELINE,
      ("event_seconds", "batch_seconds", "event_bounded_seconds",
-      "batch_bounded_seconds", "grid_fused_seconds")),
+      "batch_bounded_seconds", "grid_bounded_seconds",
+      "grid_fused_seconds")),
     (ROOT / "BENCH_banksim.json", ROOT / "BENCH_banksim.prev.json",
      ("kernel_seconds", "banksim_seconds")),
     (ROOT / "BENCH_serving.json", ROOT / "BENCH_serving.prev.json",
@@ -62,8 +66,24 @@ BENCHES: Tuple[Tuple[pathlib.Path, pathlib.Path, Tuple[str, ...]], ...] = (
      ("stream_seconds",)),
 )
 
-#: Keys that must match for two runs to be comparable.
-_WORKLOAD_KEYS = ("benchmark", "machine", "n", "k", "kernel_n", "telemetry")
+#: Keys every timing of a file depends on.
+_COMMON_KEYS = ("benchmark", "machine", "telemetry")
+
+#: Each gated timing -> the workload keys it depends on besides
+#: ``_COMMON_KEYS``: two runs' timings compare only when these match.
+WORKLOAD_KEYS: Dict[str, Tuple[str, ...]] = {
+    "event_seconds": ("n", "k"),
+    "batch_seconds": ("n", "k"),
+    "event_bounded_seconds": ("bounded_n",),
+    "batch_bounded_seconds": ("bounded_n",),
+    "grid_bounded_seconds": ("bounded_n", "grid_bounded_rows"),
+    "grid_fused_seconds": ("grid_points", "grid_n"),
+    "kernel_seconds": ("kernel_n",),
+    "banksim_seconds": ("n",),
+    "serving_seconds": ("n", "requests"),
+    "multi_serving_seconds": ("n", "multi_requests", "workers"),
+    "stream_seconds": ("n", "chunk", "chunks"),
+}
 
 
 def compare(
@@ -82,12 +102,16 @@ def compare(
             f"{current.get('telemetry')!r}; the gated hot path must keep "
             "telemetry off (it is an opt-in diagnostic)"
         )
-    for key in _WORKLOAD_KEYS:
-        if current.get(key) != baseline.get(key):
-            return (f"workload changed ({key}: {baseline.get(key)!r} -> "
-                    f"{current.get(key)!r}); skipping comparison")
     verdicts = []
     for key in keys:
+        changed = [w for w in _COMMON_KEYS + WORKLOAD_KEYS[key]
+                   if current.get(w) != baseline.get(w)]
+        if changed:
+            w = changed[0]
+            verdicts.append(
+                f"{key}: workload changed ({w}: {baseline.get(w)!r} -> "
+                f"{current.get(w)!r}); skipped")
+            continue
         if key not in current:
             # A partial re-run (e.g. only the engine benchmark, not the
             # grid-fusion case) rewrites the file without every gated
