@@ -19,10 +19,12 @@ windowed backpressure (docs/streaming.md).
 Scaling out, :class:`ShardRouter` shards the same service across N
 worker processes by canonical request key — shard-local LRU affinity,
 duplicate collapse, and a :class:`SharedHotTier` result cache in shared
-memory probed by every process — with responses bit-identical to one
-in-process service.  :class:`ServingFrontend` is the network front end
-for either backend: one ``selectors`` loop speaking HTTP and NDJSON on
-the same port.
+memory that the workers fill and the router probes — with responses
+bit-identical to one in-process service.  Both keep one :class:`ServingBackend` contract:
+``submit`` answers every input with a :class:`Ticket`, ``close``
+drains, ``manifest()`` exports the metrics.  :class:`ServingFrontend` is
+the network front end for either backend: one ``selectors`` loop
+speaking HTTP and NDJSON on the same port.
 
 ``python -m repro.serving`` exposes all of it: a line-delimited-JSON
 stdio filter by default, ``--http PORT --host ADDR`` for the socket
@@ -42,7 +44,6 @@ from .metrics import (
     metrics_table,
     percentile,
     router_manifest,
-    router_metrics_table,
     serving_manifest,
     write_serving_manifest,
 )
@@ -55,20 +56,21 @@ from .request import (
     STREAM_ACTIONS,
     ServeRequest,
     ServeResponse,
+    Ticket,
     request_from_dict,
     resolve_bank_map,
     resolve_machine,
     resolve_pattern,
 )
-from .service import PredictionService, Ticket, evaluate_point
-from .shard import RouterTicket, ShardRouter, SharedHotTier, route_digest
+from .service import PredictionService, ServingBackend, evaluate_point
+from .shard import ShardRouter, SharedHotTier, route_digest
 
 __all__ = [
+    "ServingBackend",
     "PredictionService",
     "Ticket",
     "evaluate_point",
     "ShardRouter",
-    "RouterTicket",
     "SharedHotTier",
     "route_digest",
     "ServingFrontend",
@@ -96,5 +98,4 @@ __all__ = [
     "write_serving_manifest",
     "metrics_table",
     "router_manifest",
-    "router_metrics_table",
 ]

@@ -1,7 +1,8 @@
 """Command-line front end for the prediction serving tier.
 
 Line-delimited JSON (the default): one request object per stdin line,
-one response object per stdout line, in submit order::
+one response object per stdout line, in submit order, each written as
+soon as it and every earlier answer are in::
 
     echo '{"op": "compare", "machine": "j90", \
            "pattern": {"kind": "hotspot", "n": 65536, "k": 4096}}' \
@@ -11,7 +12,11 @@ Streaming a trace too large to send at once (``op": "stream"``; see
 docs/streaming.md): ``action": "open"`` names a session, each
 ``"chunk"`` line feeds it one block of addresses and is answered with
 the rolling prefix result, ``"close"`` returns the final result —
-bit-identical to simulating the concatenated trace in one shot.
+bit-identical to simulating the concatenated trace in one shot.  The
+filter paces its input like a socket client that waits for answers: it
+owes at most as many answers as one socket connection may, and holds a
+chunk while its session has ``stream_window`` chunks unanswered, so a
+piped trace is never shed.
 
 Network mode (a single-threaded ``selectors`` loop speaking HTTP *and*
 NDJSON on the same port, per connection)::
@@ -29,40 +34,35 @@ a shared-memory hot tier — same responses, multiplied hot-path
 throughput.  Service knobs (``--batch-size``, ``--flush-ms``,
 ``--max-queue``, ``--deadline-ms``, ``--lru``, ``--parallel``,
 ``--no-disk-cache``) map one-to-one onto the per-worker services;
-``--metrics`` prints the metrics table to stderr on exit and
-``--manifest PATH`` writes the JSON manifest (the router variant when
+``--metrics`` prints the backend's metrics table to stderr on exit and
+``--manifest PATH`` writes its JSON manifest (the router variant when
 ``--workers`` > 1).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import queue
 import sys
-from typing import Any, Optional, Sequence, Union
+import threading
+from collections import deque
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .frontend import ServingFrontend
-from .metrics import (
-    metrics_table,
-    router_manifest,
-    router_metrics_table,
-    write_serving_manifest,
-)
-from .service import PredictionService
+from .frontend import _MAX_INFLIGHT, ServingFrontend, decode_line, safe_submit
+from .metrics import metrics_table, write_serving_manifest
+from .request import Ticket
+from .service import PredictionService, ServingBackend
 from .shard import ShardRouter
 
-#: Either backend drives the CLI identically (same submit/serve/close).
-Backend = Union[PredictionService, ShardRouter]
 
-
-def _build_backend(args: argparse.Namespace) -> Backend:
+def _build_backend(args: argparse.Namespace) -> ServingBackend:
     service_kwargs = dict(
         max_queue=args.max_queue,
         batch_size=args.batch_size,
         flush_ms=args.flush_ms,
         deadline_ms=args.deadline_ms,
         lru_size=args.lru,
-        disk_cache=False if args.no_disk_cache else None,
+        disk_cache=not args.no_disk_cache,
         parallel=args.parallel,
         max_streams=args.max_streams,
         stream_window=args.stream_window,
@@ -72,25 +72,70 @@ def _build_backend(args: argparse.Namespace) -> Backend:
     return PredictionService(**service_kwargs)
 
 
-def _run_ndjson(service: Backend, stream_in: Any,
+def _run_ndjson(backend: ServingBackend, stream_in: Any,
                 stream_out: Any) -> int:
-    """Serve line-delimited JSON: responses stream out in submit order."""
-    tickets = []
+    """Serve line-delimited JSON on stdio.
+
+    A writer thread prints the answers in submit order, each as soon as
+    it and every earlier one are in.  Reading pauses while
+    ``_MAX_INFLIGHT`` answers are owed, and a stream chunk waits while
+    its session has as many chunks unanswered as the ``stream_window``
+    its ``open`` answer reported, so the filter never sheds its own
+    input.  Returns 1 when stdout went away, else 0.
+    """
+    owed: "queue.Queue[Optional[Ticket]]" = queue.Queue()
+    room = threading.Semaphore(_MAX_INFLIGHT)
+    broken: List[OSError] = []
+
+    def write_answers() -> None:
+        while True:
+            ticket = owed.get()
+            if ticket is None:
+                return
+            line = ticket.result().to_json()
+            if not broken:
+                try:
+                    print(line, file=stream_out, flush=True)
+                except OSError as exc:  # stdout closed: keep draining
+                    broken.append(exc)
+            room.release()
+
+    writer = threading.Thread(target=write_answers,
+                              name="repro-serving-stdout", daemon=True)
+    writer.start()
+    #: stream_id -> (its open's ticket, its chunks not known answered)
+    sessions: Dict[str, Tuple[Ticket, "deque[Ticket]"]] = {}
     for line in stream_in:
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            data = {"op": f"<unparsable: {exc}>"}
-        tickets.append(service.submit(data))
-    for ticket in tickets:
-        print(ticket.result().to_json(), file=stream_out)
-    return 0
+        request = decode_line(line)
+        sid = request.get("stream_id")
+        if request.get("op") != "stream" or not isinstance(sid, str):
+            sid = None
+        action = request.get("action")
+        if action == "chunk" and sid in sessions:
+            opened, chunks = sessions[sid]
+            answer = opened.result()
+            window = answer.result["stream_window"] if answer.ok else 1
+            while len(chunks) >= window:
+                chunks.popleft().result()
+        room.acquire()
+        ticket = safe_submit(backend, request)
+        owed.put(ticket)
+        if sid is None:
+            continue
+        if action == "open":
+            sessions[sid] = (ticket, deque())
+        elif action == "chunk" and sid in sessions:
+            sessions[sid][1].append(ticket)
+        elif action == "close":
+            sessions.pop(sid, None)
+    owed.put(None)
+    writer.join()
+    return 1 if broken else 0
 
 
-def _run_frontend(backend: Backend, host: str, port: int) -> int:
+def _run_frontend(backend: ServingBackend, host: str, port: int) -> int:
     """Serve HTTP+NDJSON on a socket until interrupted; the frontend's
     shutdown drains the backend before the last byte is written."""
     frontend = ServingFrontend(backend, host=host, port=port)
@@ -149,7 +194,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--workers must be >= 1, got {args.workers}")
 
     backend = _build_backend(args)
-    sharded = isinstance(backend, ShardRouter)
     try:
         if args.http is not None:
             status = _run_frontend(backend, args.host, args.http)
@@ -158,21 +202,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         backend.close()
         if args.metrics:
-            table = router_metrics_table(backend) if sharded \
-                else metrics_table(backend)
-            print(table, file=sys.stderr)
+            print(metrics_table(backend), file=sys.stderr)
         if args.manifest:
-            if sharded:
-                from pathlib import Path
-
-                data = router_manifest(backend)
-                path = Path(args.manifest)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(
-                    json.dumps(data, indent=2, sort_keys=True) + "\n"
-                )
-            else:
-                write_serving_manifest(backend, args.manifest)
+            write_serving_manifest(backend, args.manifest)
     return status
 
 

@@ -5,11 +5,15 @@ connections: :class:`ServingFrontend` replaces the previous
 thread-per-connection ``ThreadingHTTPServer`` with a readiness loop
 that never blocks on a socket.  Request evaluation stays fully
 asynchronous — each accepted request is ``submit()``-ed to the backend
-(a :class:`~repro.serving.PredictionService` or a
-:class:`~repro.serving.ShardRouter`; both expose the same surface) and
-its completion callback hands the encoded response back to the event
-loop through a self-pipe, so a slow evaluation never stalls another
-connection's reads or writes.
+(any :class:`~repro.serving.ServingBackend`: the in-process service or
+the sharded router) and its completion callback hands the encoded
+response back to the event loop through a self-pipe, so a slow
+evaluation never stalls another connection's reads or writes.
+
+The NDJSON intake is two functions shared with the stdio filter of
+``python -m repro.serving``: :func:`decode_line` turns one line into a
+request, and :func:`safe_submit` submits it so that nothing the backend
+raises can escape.
 
 Both wire protocols of ``python -m repro.serving`` are spoken on the
 same port, distinguished by the first line a connection sends:
@@ -40,13 +44,12 @@ import selectors
 import socket
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..errors import ParameterError
-from .metrics import router_manifest, serving_manifest
-from .request import STATUS_CODES, ServeResponse
+from .request import Ticket, failure_response
 
-__all__ = ["ServingFrontend"]
+__all__ = ["ServingFrontend", "decode_line", "safe_submit"]
 
 #: First-line prefixes that mark a connection as HTTP, not NDJSON.
 _HTTP_METHODS = (b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ",
@@ -65,7 +68,42 @@ _MAX_BUFFER = 16 * 1024 * 1024
 #: the client) instead of accumulating on this process's heap.  This is
 #: what lets a multi-gigabyte streamed NDJSON trace pass through the
 #: frontend under a bounded memory footprint — see docs/streaming.md.
+#: The stdio filter keeps the same bound.
 _MAX_INFLIGHT = 256
+
+
+def decode_line(raw: Union[bytes, str]) -> Dict[str, Any]:
+    """Decode one NDJSON request line.
+
+    A line that is not JSON, or is JSON but not an object, becomes a
+    request whose ``op`` names the problem: the backend answers it 400
+    in its place in the response order, like any other bad request.
+    """
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return {"op": f"<unparsable: {exc}>"}
+    if not isinstance(data, dict):
+        return {"op": f"<unparsable: not an object: {type(data).__name__}>"}
+    return data
+
+
+def safe_submit(backend: Any, request: Any) -> Ticket:
+    """``backend.submit`` that cannot raise.
+
+    A backend *answers* a bad request with a 400 ticket, but a request
+    engineered to blow up inside it (e.g. a numeric the key hasher
+    chokes on) must cost only that request a 400/500 — never unwind the
+    caller's loop: the socket loop shared by every connection, or the
+    stdio filter.
+    """
+    try:
+        return backend.submit(request)
+    except ParameterError as exc:
+        status, error = "bad-request", str(exc)
+    except Exception as exc:  # reprolint: disable=REPRO111 -- any submit-time exception must be contained to this request
+        status, error = "error", f"{type(exc).__name__}: {exc}"
+    return Ticket.answered(failure_response(request, status, error))
 
 
 class _Conn:
@@ -81,7 +119,7 @@ class _Conn:
         #: ``None`` until the first line arrives, then "http"/"ndjson".
         self.mode: Optional[str] = None
         #: NDJSON tickets in submit order (head answered first).
-        self.pending: "deque[Any]" = deque()
+        self.pending: "deque[Ticket]" = deque()
         #: Parsed HTTP request line + headers, once complete.
         self.http_head: Optional[Tuple[str, str, Dict[str, str]]] = None
         #: No more reads; close once ``outbuf`` and ``inflight`` drain.
@@ -91,49 +129,23 @@ class _Conn:
         self.inflight = 0
 
 
-class _FailedTicket:
-    """Pre-resolved ticket for a submission the backend refused by
-    raising instead of answering.  Same surface as a real ticket
-    (``response`` plus ``add_done_callback``), so the response paths
-    need no special case."""
-
-    __slots__ = ("response",)
-
-    def __init__(self, response: ServeResponse) -> None:
-        self.response = response
-
-    def add_done_callback(
-        self, fn: Callable[["_FailedTicket"], None]
-    ) -> None:
-        fn(self)
-
-
-def _default_metrics(backend: Any) -> Callable[[], Dict[str, Any]]:
-    """Pick the manifest exporter matching the backend's type — the
-    router variant when the backend routes, the serving variant when it
-    evaluates in-process."""
-    if hasattr(backend, "shard_manifests"):
-        return lambda: router_manifest(backend)
-    return lambda: serving_manifest(backend)
-
-
 class ServingFrontend:
     """Single-threaded NDJSON/HTTP network front end.
 
     Parameters
     ----------
     backend:
-        A :class:`~repro.serving.PredictionService` or
-        :class:`~repro.serving.ShardRouter` (anything with ``submit`` /
-        ``close`` and ticket ``add_done_callback``).  The frontend's
-        shutdown *drains* the backend (``backend.close()``) but does
-        not own it — callers can still read its metrics afterwards.
+        A :class:`~repro.serving.ServingBackend` (anything with
+        ``submit`` / ``close`` and ticket ``add_done_callback``).  The
+        frontend's shutdown *drains* the backend (``backend.close()``)
+        but does not own it — callers can still read its metrics
+        afterwards.
     host / port:
         Bind address; ``port=0`` picks a free port, discoverable via
         :attr:`address` before the loop starts (used by the tests).
     metrics:
         Zero-arg callable for ``GET /metrics``; defaults to the
-        manifest exporter matching the backend's type.
+        backend's ``manifest``.
     """
 
     def __init__(
@@ -146,7 +158,7 @@ class ServingFrontend:
     ) -> None:
         self.backend = backend
         self._metrics = metrics if metrics is not None \
-            else _default_metrics(backend)
+            else backend.manifest
         self._listener = socket.create_server(
             (host, port), reuse_port=False
         )
@@ -376,44 +388,13 @@ class ServingFrontend:
         elif conn.mode == "ndjson":
             self._parse_ndjson(conn)
 
-    # -- submission ----------------------------------------------------
-
-    def _safe_submit(self, data: Any) -> Any:
-        """``backend.submit`` that cannot raise.  The backend's contract
-        is to *answer* a bad request with a 400 ticket, but a request
-        engineered to blow up inside it (e.g. a numeric the key hasher
-        chokes on) must cost only that request a 400/500 — never unwind
-        the shared event loop and drop every connection, the containment
-        the old thread-per-connection server gave for free."""
-        try:
-            return self.backend.submit(data)
-        except ParameterError as exc:
-            status, error = "bad-request", str(exc)
-        except Exception as exc:  # reprolint: disable=REPRO111 -- any submit-time exception must be contained to this request
-            status, error = "error", f"{type(exc).__name__}: {exc}"
-        op = str(data.get("op", "")) if isinstance(data, dict) else ""
-        rid = data.get("request_id") if isinstance(data, dict) else None
-        return _FailedTicket(ServeResponse(
-            status=status, code=STATUS_CODES[status], op=op, engine="",
-            machine="", request_id=rid if isinstance(rid, str) else None,
-            error=error,
-        ))
-
     # -- NDJSON --------------------------------------------------------
 
     def _submit_ndjson(self, conn: _Conn, raw: bytes) -> None:
-        try:
-            data = json.loads(raw)
-            if not isinstance(data, dict):
-                data = {"op": f"<unparsable: not an object: "
-                        f"{type(data).__name__}>"}
-        except json.JSONDecodeError as exc:
-            # Same contract as the stdio filter: an unparsable line
-            # still gets a (400) response line, in order.
-            data = {"op": f"<unparsable: {exc}>"}
+        request = decode_line(raw)
         with self._lock:
             conn.inflight += 1
-        ticket = self._safe_submit(data)
+        ticket = safe_submit(self.backend, request)
         conn.pending.append(ticket)
         ticket.add_done_callback(lambda _t, c=conn: self._ndjson_done(c))
 
@@ -475,6 +456,8 @@ class ServingFrontend:
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
+            length = -1
+        if length < 0:
             self._http_reply(conn, 400, {"error": "bad Content-Length"})
             return
         if len(conn.inbuf) < length:
@@ -512,9 +495,7 @@ class ServingFrontend:
                 return
             with self._lock:
                 conn.inflight += 1
-            tickets = [self._safe_submit(
-                item if isinstance(item, dict) else {"op": str(item)}
-            ) for item in data]
+            tickets = [safe_submit(self.backend, item) for item in data]
             state = {"left": len(tickets)}
 
             def _one_done(_t: Any) -> None:
@@ -531,11 +512,9 @@ class ServingFrontend:
             for ticket in tickets:
                 ticket.add_done_callback(_one_done)
         else:
-            request = data if isinstance(data, dict) \
-                else {"op": str(data)}
             with self._lock:
                 conn.inflight += 1
-            ticket = self._safe_submit(request)
+            ticket = safe_submit(self.backend, data)
             ticket.add_done_callback(
                 lambda t, c=conn: self._http_complete(
                     c, t.response.code, t.response.to_dict()

@@ -7,9 +7,12 @@ counter in :class:`ServingStats`, and a whole service run exports a
 flat, schema-checked manifest — the serving analogue of
 :mod:`repro.experiments.manifest`, validated by the same
 :func:`~repro.experiments.manifest.validate_manifest` checker against
-:data:`SERVING_MANIFEST_SCHEMA`.  :func:`metrics_table` renders the
-human view through :func:`repro.analysis.format_table`, the same
-machinery the telemetry reports use.
+:data:`SERVING_MANIFEST_SCHEMA`; the sharded router exports the
+router variant (:data:`ROUTER_MANIFEST_SCHEMA`).  Each backend's
+``manifest()`` returns its own, and :func:`write_serving_manifest` and
+:func:`metrics_table` work from it for either backend — the table
+renders the human view through :func:`repro.analysis.format_table`,
+the same machinery the telemetry reports use.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "write_serving_manifest",
     "metrics_table",
     "router_manifest",
-    "router_metrics_table",
 ]
 
 #: Serving manifest format version; bump on incompatible field changes.
@@ -231,10 +233,13 @@ def serving_manifest(service: Any) -> Dict[str, Any]:
 
 
 def write_serving_manifest(
-    service: Any, path: Union[str, Path]
+    backend: Any, path: Union[str, Path]
 ) -> Path:
-    """Write the schema-checked serving manifest to ``path`` as JSON."""
-    data = serving_manifest(service)
+    """Write a backend's ``manifest()`` to ``path`` as JSON.
+
+    The manifest is schema-checked: the serving or the router variant.
+    """
+    data = backend.manifest()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
@@ -243,15 +248,31 @@ def write_serving_manifest(
     return path
 
 
-def metrics_table(service: Any, title: str = "serving metrics") -> str:
-    """Aligned plain-text metrics report (one ``metric  value`` row per
-    counter plus the derived figures) via the shared table renderer."""
-    data = serving_manifest(service)
+def metrics_table(backend: Any) -> str:
+    """Aligned plain-text report of a backend's ``manifest()``.
+
+    One ``metric  value`` row per counter and derived figure, then, for
+    the router, one ``routed[i]`` row per shard and a few
+    ``shard[i].metric`` rows per collected worker manifest.
+    """
+    data = backend.manifest()
     rows: List[Any] = [
         (key, data[key]) for key in sorted(data)
         if key not in ("schema_version", "service", "code_version",
-                       "created_unix")
+                       "created_unix", "shards", "shard_routed")
     ]
+    rows.extend(
+        (f"routed[{i}]", n)
+        for i, n in enumerate(data.get("shard_routed", ()))
+    )
+    for i, shard in enumerate(data.get("shards", ())):
+        rows.extend(
+            (f"shard[{i}].{key}", shard[key])
+            for key in ("received", "served", "lru_hits", "evaluations",
+                        "batches")
+            if key in shard
+        )
+    title = "router metrics" if "shards" in data else "serving metrics"
     return format_table(("metric", "value"), rows, title=title)
 
 
@@ -362,25 +383,3 @@ def router_manifest(router: Any) -> Dict[str, Any]:
         expected_version=ROUTER_SCHEMA_VERSION,
     )
     return data
-
-
-def router_metrics_table(router: Any, title: str = "router metrics") -> str:
-    """Aligned plain-text router report: router counters first, then one
-    ``shard[i].metric`` row per collected worker counter."""
-    data = router_manifest(router)
-    rows: List[Any] = [
-        (key, data[key]) for key in sorted(data)
-        if key not in ("schema_version", "service", "code_version",
-                       "created_unix", "shards", "shard_routed")
-    ]
-    rows.extend(
-        (f"routed[{i}]", n) for i, n in enumerate(data["shard_routed"])
-    )
-    for i, shard in enumerate(data["shards"]):
-        rows.extend(
-            (f"shard[{i}].{key}", shard[key])
-            for key in ("received", "served", "lru_hits", "evaluations",
-                        "batches")
-            if key in shard
-        )
-    return format_table(("metric", "value"), rows, title=title)

@@ -20,14 +20,18 @@ A :class:`ServeResponse` carries the answer plus the serving metadata
 (status, cache provenance, the flush size the request rode in, queueing
 latency).  Statuses follow the HTTP idiom: 200 ok, 400 bad request,
 429 shed by admission control, 503 shut down mid-request, 504 deadline
-exceeded, 500 evaluation failure.
+exceeded, 500 evaluation failure.  Every backend answers a submit with
+one :class:`Ticket`, and a request that never reached an evaluation is
+answered by :func:`failure_response`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+import threading
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +62,7 @@ from ..workloads.patterns import (
 __all__ = [
     "ServeRequest",
     "ServeResponse",
+    "Ticket",
     "MACHINES",
     "BANK_MAPS",
     "OPS",
@@ -427,3 +432,92 @@ def _sweep_points(req: ServeRequest) -> List[Tuple[Any, Dict[str, Any]]]:
         spec[param] = value
         out.append((value, spec))
     return out
+
+
+class Ticket:
+    """Handle for one submitted request, as every backend returns it.
+
+    ``result()`` blocks for its :class:`ServeResponse`.  It resolves
+    once: the first response wins and later ones are ignored.
+    """
+
+    def __init__(self, request_id: Optional[str] = None) -> None:
+        self.request_id = request_id
+        self.t_submit = time.monotonic()
+        self.response: Optional[ServeResponse] = None
+        self._event = threading.Event()
+        self._lock = threading.Lock()
+        self._callbacks: List[Callable[["Ticket"], None]] = []
+
+    @classmethod
+    def answered(cls, response: ServeResponse) -> "Ticket":
+        """A ticket already resolved to ``response``."""
+        ticket = cls(response.request_id)
+        ticket._resolve(response)
+        return ticket
+
+    def _resolve(self, response: ServeResponse) -> None:
+        with self._lock:
+            if self.response is not None:
+                return
+            self.response = response
+            callbacks, self._callbacks = self._callbacks, []
+        self._event.set()
+        for fn in callbacks:
+            fn(self)
+
+    def result(self, timeout: Optional[float] = None) -> ServeResponse:
+        """Block until the response is ready (raises ``TimeoutError``
+        after ``timeout`` seconds)."""
+        if not self._event.wait(timeout):
+            raise TimeoutError("request still pending")
+        assert self.response is not None
+        return self.response
+
+    def add_done_callback(self, fn: Callable[["Ticket"], None]) -> None:
+        """Run ``fn(ticket)`` once the response is ready.
+
+        Fires immediately when the ticket already resolved; otherwise
+        from whichever thread resolves it (a backend's dispatcher or
+        reader thread, or a submitter on a cache hit), so callbacks
+        must be cheap and must not block.  The non-blocking front end
+        (:mod:`repro.serving.frontend`) uses this to pump responses
+        back into its event loop without parking a thread per request.
+        """
+        with self._lock:
+            if self.response is None:
+                self._callbacks.append(fn)
+                return
+        fn(self)
+
+
+def request_id_of(request: Any) -> Optional[str]:
+    """The client's ``request_id`` of a request in any form, or ``None``
+    when it carries no string one."""
+    if isinstance(request, ServeRequest):
+        rid = request.request_id
+    elif isinstance(request, dict):
+        rid = request.get("request_id")
+    else:
+        rid = None
+    return rid if isinstance(rid, str) else None
+
+
+def failure_response(request: Any, status: str, error: str) -> ServeResponse:
+    """The answer to a request that never reached an evaluation.
+
+    ``request`` is whatever was submitted: a dict, a
+    :class:`ServeRequest` or anything else.  The answer echoes its
+    ``op`` and ``request_id`` when it has them; ``engine`` and
+    ``machine`` stay empty because nothing was resolved.
+    """
+    if isinstance(request, ServeRequest):
+        op = request.op
+    elif isinstance(request, dict):
+        op = str(request.get("op", ""))
+    else:
+        op = ""
+    return ServeResponse(
+        status=status, code=STATUS_CODES[status], op=op, engine="",
+        machine="", request_id=request_id_of(request), error=error,
+    )

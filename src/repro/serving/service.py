@@ -51,6 +51,12 @@ the traffic engineering around those calls:
 One dispatcher thread drives the batcher; evaluation happens in that
 thread (or in the runner's process pool when ``parallel > 1``).  All
 public methods are thread-safe.
+
+:class:`ServingBackend` is the contract this service shares with the
+sharded :class:`~repro.serving.shard.ShardRouter`: ``submit`` answers
+every input with one :class:`~repro.serving.request.Ticket`, and both
+have ``close`` and ``manifest()``.  The front ends drive either one
+through it.
 """
 
 from __future__ import annotations
@@ -65,27 +71,30 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._util import as_addresses
-from ..core.contention import max_location_contention
+from ..core.contention import BankMap, max_location_contention
 from ..core.cost import predict_scatter_bsp, predict_scatter_dxbsp
 from ..errors import ParameterError
 from ..experiments import runner
 from ..simulator.dispatch import simulate_scatter_engine
 from ..simulator.machine import MachineConfig
 from ..simulator.stream import StreamSimulator
-from .metrics import ServingStats
+from ..simulator.stats import SimResult
+from .metrics import ServingStats, serving_manifest
 from .batcher import MicroBatcher
 from .request import (
     STATUS_CODES,
     ServeRequest,
     ServeResponse,
+    Ticket,
     _sweep_points,
+    failure_response,
     request_from_dict,
     resolve_bank_map,
     resolve_machine,
     resolve_pattern,
 )
 
-__all__ = ["PredictionService", "Ticket", "evaluate_point"]
+__all__ = ["PredictionService", "ServingBackend", "evaluate_point"]
 
 #: Admission-queue poll period while the batcher is idle, seconds.
 _IDLE_POLL_S = 0.05
@@ -118,6 +127,23 @@ def evaluate_point(
     """
     mapping = resolve_bank_map(bank_map_kind, map_seed)
     addr = as_addresses(addresses)
+    sim = None
+    if op in ("simulate", "compare"):
+        sim = simulate_scatter_engine(machine, addr, mapping, engine=engine)
+    return _point_answer(op, machine, addr, mapping, sim)
+
+
+def _point_answer(
+    op: str,
+    machine: MachineConfig,
+    addr: np.ndarray,
+    mapping: Optional[BankMap],
+    sim: Optional[SimResult],
+) -> Dict[str, Any]:
+    """One work item's result dict: the predictors' figures for
+    ``predict``/``compare``, then ``sim``'s for ``simulate``/``compare``.
+    :func:`evaluate_point` and the fused grid pass both build their
+    answers here, so the two have the same fields in the same order."""
     out: Dict[str, Any] = {"n": int(addr.size)}
     if op in ("predict", "compare"):
         params = machine.params()
@@ -126,15 +152,12 @@ def evaluate_point(
         out["dxbsp_time"] = float(
             predict_scatter_dxbsp(params, addr, mapping)
         )
-    if op in ("simulate", "compare"):
-        res = simulate_scatter_engine(
-            machine, addr, mapping, engine=engine
-        )
-        out["simulated_time"] = float(res.time)
-        out["max_bank_load"] = int(res.max_bank_load)
-        out["max_wait"] = float(res.max_wait)
-        out["mean_wait"] = float(res.mean_wait)
-        out["stalled_cycles"] = float(res.stalled_cycles)
+    if sim is not None:
+        out["simulated_time"] = float(sim.time)
+        out["max_bank_load"] = int(sim.max_bank_load)
+        out["max_wait"] = float(sim.max_wait)
+        out["mean_wait"] = float(sim.mean_wait)
+        out["stalled_cycles"] = float(sim.stalled_cycles)
     return out
 
 
@@ -155,10 +178,9 @@ class _EvaluatePointFuser:
     micro-batcher's bread-and-butter flush: one pattern family swept
     over seeds/machines/mappings).  ``run`` evaluates such a group with
     a single :func:`~repro.simulator.cycle_grid.simulate_scatter_grid`
-    call and rebuilds each point's result dict exactly as
-    :func:`evaluate_point` would — same fields, same insertion order,
-    same float values (the grid pass is bit-identical per point) — so
-    cached and fused answers stay interchangeable.
+    call and builds each point's result dict with the helper
+    :func:`evaluate_point` uses — the grid pass is bit-identical per
+    point — so cached and fused answers stay interchangeable.
     """
 
     @staticmethod
@@ -186,23 +208,10 @@ class _EvaluatePointFuser:
         sims = simulate_scatter_grid(
             [p["machine"] for p in points], addrs, bank_map=mappings
         )
-        results: List[Dict[str, Any]] = []
-        for p, addr, mapping, res in zip(points, addrs, mappings, sims):
-            out: Dict[str, Any] = {"n": int(addr.size)}
-            if p["op"] == "compare":
-                params = p["machine"].params()
-                out["contention"] = int(max_location_contention(addr))
-                out["bsp_time"] = float(predict_scatter_bsp(params, addr))
-                out["dxbsp_time"] = float(
-                    predict_scatter_dxbsp(params, addr, mapping)
-                )
-            out["simulated_time"] = float(res.time)
-            out["max_bank_load"] = int(res.max_bank_load)
-            out["max_wait"] = float(res.max_wait)
-            out["mean_wait"] = float(res.mean_wait)
-            out["stalled_cycles"] = float(res.stalled_cycles)
-            results.append(out)
-        return results
+        return [
+            _point_answer(p["op"], p["machine"], addr, mapping, sim)
+            for p, addr, mapping, sim in zip(points, addrs, mappings, sims)
+        ]
 
 
 #: The runner discovers the adapter on the point function itself, so
@@ -215,7 +224,7 @@ evaluate_point.grid_fuse = _EvaluatePointFuser()  # type: ignore[attr-defined]
 class _WorkItem:
     """One queued unit of evaluation, bound to its ticket slot."""
 
-    ticket: "Ticket"
+    ticket: "_SlotTicket"
     slot: int
     key: str
     group: Tuple[Any, ...]
@@ -245,24 +254,23 @@ class _StreamItem:
     instead of entering the batcher, and never counts against the
     ``max_queue`` admission bound (its bound is the session window)."""
 
-    ticket: "Ticket"
+    ticket: "_SlotTicket"
     stream_id: str
     action: str
     addresses: Optional[np.ndarray]
 
 
-class Ticket:
-    """Handle for one submitted request; ``result()`` blocks for the
-    :class:`~repro.serving.request.ServeResponse`."""
+class _SlotTicket(Ticket):
+    """The service's ticket: one value slot per work item of its
+    request (a sweep has one per value).  It resolves when the last
+    slot fills, or at the first failure."""
 
     def __init__(self, service: "PredictionService", request: ServeRequest,
                  n_slots: int, sweep_param: Optional[str],
                  sweep_values: Sequence[Any]) -> None:
+        super().__init__(request.request_id)
         self._service = service
         self.request = request
-        self.t_submit = time.monotonic()
-        self._event = threading.Event()
-        self._lock = threading.Lock()
         self._values: List[Optional[Dict[str, Any]]] = [None] * n_slots
         self._pending = n_slots
         self._status = "ok"
@@ -271,11 +279,9 @@ class Ticket:
         self._batch = 0
         self._sweep_param = sweep_param
         self._sweep_values = list(sweep_values)
-        self._callbacks: List[Any] = []
         #: Set by stream admission: the session's machine name (chunk
         #: and close requests do not carry a machine field themselves).
         self.machine_name: Optional[str] = None
-        self.response: Optional[ServeResponse] = None
 
     @property
     def dead(self) -> bool:
@@ -341,30 +347,6 @@ class Ticket:
             error=self._error,
         )
 
-    def result(self, timeout: Optional[float] = None) -> ServeResponse:
-        """Block until the response is ready (raises ``TimeoutError``
-        after ``timeout`` seconds)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request still pending")
-        assert self.response is not None
-        return self.response
-
-    def add_done_callback(self, fn: Any) -> None:
-        """Run ``fn(ticket)`` once the response is ready.
-
-        Fires immediately when the ticket already resolved; otherwise
-        from whichever thread finalizes it (the dispatcher, or a
-        submitter on the cache-hit path) — callbacks must be cheap and
-        must not block.  The non-blocking front end
-        (:mod:`repro.serving.frontend`) uses this to pump responses
-        back into its event loop without parking a thread per request.
-        """
-        with self._lock:
-            if self.response is None:
-                self._callbacks.append(fn)
-                return
-        fn(self)
-
 
 class _LRU:
     """Tiny ordered-dict LRU (caller provides locking)."""
@@ -391,7 +373,76 @@ class _LRU:
         return len(self._data)
 
 
-class PredictionService:
+class ServingBackend:
+    """The contract both serving backends keep.
+
+    ``submit`` answers every input — a request dict, a
+    :class:`~repro.serving.request.ServeRequest` or anything else — with
+    one :class:`~repro.serving.request.Ticket`, a bad one with 400;
+    ``close`` answers everything in flight and stops; ``manifest()`` is
+    the one metrics export, read by ``GET /metrics``, ``--manifest`` and
+    ``--metrics``.  :class:`~repro.serving.ServingFrontend` and
+    ``python -m repro.serving`` drive a backend through these alone.
+    The rest of the surface is written here once: ``call``, ``serve``,
+    the context manager, the latency ring, ``uptime_seconds`` and
+    ``stats()``.
+    """
+
+    def __init__(self, stats: Any) -> None:
+        self._lock = threading.Lock()
+        self._stats = stats
+        self._latencies: "deque[float]" = deque(maxlen=_LATENCY_WINDOW)
+        self._t_start = time.monotonic()
+
+    def __enter__(self) -> "ServingBackend":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def submit(self, request: Any) -> Ticket:
+        """Admit one request; returns its ticket immediately."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Answer everything in flight, then stop.  Idempotent."""
+        raise NotImplementedError
+
+    def manifest(self) -> Dict[str, Any]:
+        """This backend's schema-checked metrics manifest."""
+        raise NotImplementedError
+
+    def call(self, request: Any, timeout: Optional[float] = None) \
+            -> ServeResponse:
+        """Submit one request and block for its response."""
+        return self.submit(request).result(timeout)
+
+    def serve(
+        self, requests: Sequence[Any], timeout: Optional[float] = None
+    ) -> List[ServeResponse]:
+        """Submit many requests, then collect responses in submit order
+        (submitting everything before waiting is what lets compatible
+        requests share micro-batches)."""
+        tickets = [self.submit(r) for r in requests]
+        return [t.result(timeout) for t in tickets]
+
+    def stats(self) -> Any:
+        """Snapshot of the counters (:class:`ServingStats` or
+        :class:`~repro.serving.metrics.RouterStats`)."""
+        with self._lock:
+            return dataclasses.replace(self._stats)
+
+    def latencies_ms(self) -> List[float]:
+        """Snapshot of the recent response latencies (ring buffer)."""
+        with self._lock:
+            return list(self._latencies)
+
+    def uptime_seconds(self) -> float:
+        """Seconds since the backend started."""
+        return time.monotonic() - self._t_start
+
+
+class PredictionService(ServingBackend):
     """Micro-batching, cache-backed front end over the simulator stack.
 
     Parameters
@@ -411,8 +462,11 @@ class PredictionService:
     lru_size:
         In-memory result-cache entries (0 disables the LRU).
     disk_cache:
-        Probe/populate the experiment runner's on-disk memo; ``None``
-        follows the runner's own configuration (``REPRO_CACHE``).
+        Use the experiment runner's on-disk memo as the runner is
+        configured (``REPRO_CACHE`` / :func:`~repro.experiments.runner.
+        configure`): probe it at admission, store flush results in it
+        and checkpoint closed streams into it.  ``False`` skips all
+        three.
     parallel:
         Worker processes for flush evaluation (forwarded to
         :func:`~repro.experiments.runner.run_grid`; 1 = evaluate in the
@@ -443,7 +497,7 @@ class PredictionService:
         flush_ms: float = 2.0,
         deadline_ms: Optional[float] = 1000.0,
         lru_size: int = 4096,
-        disk_cache: Optional[bool] = None,
+        disk_cache: bool = True,
         parallel: int = 1,
         fuse: Optional[bool] = None,
         max_streams: int = 8,
@@ -459,12 +513,13 @@ class PredictionService:
             raise ParameterError(
                 f"stream_window must be >= 1, got {stream_window}"
             )
+        super().__init__(ServingStats())
         self.max_queue = int(max_queue)
         self.batch_size = int(batch_size)
         self.flush_ms = float(flush_ms)
         self.deadline_ms = deadline_ms
         self.lru_size = int(lru_size)
-        self.disk_cache = disk_cache
+        self.disk_cache = bool(disk_cache)
         self.parallel = int(parallel)
         self.fuse = fuse
         self.max_streams = int(max_streams)
@@ -482,12 +537,8 @@ class PredictionService:
             batch_size=self.batch_size,
             flush_interval=self.flush_ms / 1000.0,
         )
-        self._lock = threading.Lock()
-        self._stats = ServingStats()
-        self._latencies: "deque[float]" = deque(maxlen=_LATENCY_WINDOW)
         self._lru = _LRU(self.lru_size)
         self._closing = threading.Event()
-        self._t_start = time.monotonic()
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-serving-dispatch",
             daemon=True,
@@ -497,12 +548,6 @@ class PredictionService:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-
-    def __enter__(self) -> "PredictionService":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def close(self) -> None:
         """Drain queued work, flush every open batch, stop the
@@ -532,64 +577,34 @@ class PredictionService:
         with self._lock:
             self._streams.clear()
 
-    def submit(
-        self, request: Union[ServeRequest, Dict[str, Any]]
-    ) -> Ticket:
+    def submit(self, request: Any) -> Ticket:
         """Admit one request; returns a :class:`Ticket` immediately.
 
-        A dict is parsed/validated first (invalid → ``bad-request``).
-        Cache hits resolve the ticket before this returns; everything
-        else resolves once its micro-batch flushes (or sheds/expires).
+        A dict is parsed/validated first; an invalid request, or
+        anything that is not a request at all, is answered
+        ``bad-request`` (400).  Cache hits resolve the ticket before
+        this returns; everything else resolves once its micro-batch
+        flushes (or sheds/expires).
         """
         with self._lock:
             self._stats.received += 1
         try:
-            if isinstance(request, dict):
-                request = request_from_dict(request)
-            else:
+            if isinstance(request, ServeRequest):
                 request.validate()
+            else:
+                request = request_from_dict(request)
             return self._admit(request)
         except ParameterError as exc:
-            req = request if isinstance(request, ServeRequest) \
-                else ServeRequest(request_id=self._request_id_of(request))
-            ticket = Ticket(self, req, 1, None, ())
             with self._lock:
                 self._stats.invalid += 1
-            ticket._fail("bad-request", str(exc))
-            return ticket
+            return Ticket.answered(
+                failure_response(request, "bad-request", str(exc))
+            )
 
-    def call(
-        self,
-        request: Union[ServeRequest, Dict[str, Any]],
-        timeout: Optional[float] = None,
-    ) -> ServeResponse:
-        """Submit one request and block for its response."""
-        return self.submit(request).result(timeout)
-
-    def serve(
-        self,
-        requests: Sequence[Union[ServeRequest, Dict[str, Any]]],
-        timeout: Optional[float] = None,
-    ) -> List[ServeResponse]:
-        """Submit many requests, then collect responses in submit order
-        (submitting everything before waiting is what lets compatible
-        requests share micro-batches)."""
-        tickets = [self.submit(r) for r in requests]
-        return [t.result(timeout) for t in tickets]
-
-    def stats(self) -> ServingStats:
-        """Snapshot of the service counters."""
-        with self._lock:
-            return dataclasses.replace(self._stats)
-
-    def latencies_ms(self) -> List[float]:
-        """Snapshot of the recent response latencies (ring buffer)."""
-        with self._lock:
-            return list(self._latencies)
-
-    def uptime_seconds(self) -> float:
-        """Seconds since the service started."""
-        return time.monotonic() - self._t_start
+    def manifest(self) -> Dict[str, Any]:
+        """The serving manifest (:func:`~repro.serving.metrics.
+        serving_manifest`)."""
+        return serving_manifest(self)
 
     def queue_depth(self) -> int:
         """Current admission-queue depth (approximate by nature)."""
@@ -598,13 +613,6 @@ class PredictionService:
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _request_id_of(data: Any) -> Optional[str]:
-        if isinstance(data, dict):
-            rid = data.get("request_id")
-            return rid if isinstance(rid, str) else None
-        return None
 
     def _admit(self, req: ServeRequest) -> Ticket:
         if req.op == "stream":
@@ -626,7 +634,9 @@ class PredictionService:
         # (kind, seed) pair so every cache key stays canonical types.
         resolve_bank_map(req.bank_map, req.map_seed)
 
-        ticket = Ticket(self, req, len(patterns), sweep_param, sweep_values)
+        ticket = _SlotTicket(
+            self, req, len(patterns), sweep_param, sweep_values
+        )
         deadline_ms = req.deadline_ms if req.deadline_ms is not None \
             else self.deadline_ms
         deadline = None if deadline_ms is None \
@@ -649,7 +659,7 @@ class PredictionService:
             if hit is not None:
                 ticket._complete(slot, hit, cached=True, batch=0)
                 continue
-            if self.disk_cache is not False:
+            if self.disk_cache:
                 found, value = runner.cache_fetch(evaluate_point, point)
                 if found:
                     with self._lock:
@@ -696,7 +706,7 @@ class PredictionService:
         :meth:`submit`."""
         assert req.stream_id is not None
         sid = req.stream_id
-        ticket = Ticket(self, req, 1, None, ())
+        ticket = _SlotTicket(self, req, 1, None, ())
         if self._closing.is_set():
             with self._lock:
                 self._stats.closed += 1
@@ -830,7 +840,7 @@ class PredictionService:
             else:
                 res = session.sim.result()
                 checkpoint = None
-                if self.disk_cache is not False:
+                if self.disk_cache:
                     checkpoint = session.sim.save_checkpoint()
                 out = {
                     "stream_id": item.stream_id,
@@ -931,8 +941,8 @@ class PredictionService:
             # (pooled when parallel > 1) and stores the results.
             results = runner.run_grid(
                 evaluate_point, unique,
-                parallel=self.parallel, cache=self.disk_cache,
-                fuse=self.fuse,
+                parallel=self.parallel,
+                cache=None if self.disk_cache else False, fuse=self.fuse,
             )
         except Exception as exc:  # reprolint: disable=REPRO111 -- the service must answer 500 and stay up, whatever the evaluation raised
             with self._lock:
@@ -953,16 +963,11 @@ class PredictionService:
                     it.slot, value, cached=False, batch=len(live)
                 )
 
-    def _finalize(self, ticket: Ticket) -> None:
+    def _finalize(self, ticket: _SlotTicket) -> None:
         latency_ms = (time.monotonic() - ticket.t_submit) * 1000.0
         response = ticket._build_response(latency_ms)
         with self._lock:
             if response.ok:
                 self._stats.served += 1
             self._latencies.append(latency_ms)
-        with ticket._lock:
-            ticket.response = response
-            callbacks, ticket._callbacks = ticket._callbacks, []
-        ticket._event.set()
-        for fn in callbacks:
-            fn(ticket)
+        ticket._resolve(response)

@@ -19,12 +19,15 @@ service *out* without changing what it computes:
   cache in one ``multiprocessing.shared_memory`` segment (named through
   :func:`repro.experiments.runner.shm_segment_name`, so
   ``clear_cache``'s orphan sweep covers it) sitting *over* the runner's
-  on-disk memo: a result any shard has served once is readable by every
-  process — router included — as one slot lookup plus one small
-  unpickle, with no disk probe and no re-deserialization per shard.
-  Writers serialize on a cross-process lock; readers are lock-free
-  behind a per-slot sequence counter (torn reads are detected and
-  treated as misses — it is a cache, a miss is always correct).
+  on-disk memo: a result any shard has served once is readable by the
+  router as one slot lookup plus one small unpickle, with no pipe
+  crossing, no disk probe and no re-deserialization per shard.  The
+  router probes it once per request; the workers only fill it (a
+  request reaches a worker because the router just missed, so a second
+  probe there would almost never hit).  Writers serialize on a
+  cross-process lock; readers are lock-free behind a per-slot sequence
+  counter (torn reads are detected and treated as misses — it is a
+  cache, a miss is always correct).
 * **Fault tolerance** — a worker that dies takes only its in-flight
   requests on a detour: the router re-routes them (and all later
   requests for that shard) to the surviving shards and counts the
@@ -58,33 +61,39 @@ down.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import pickle
 import struct
 import threading
 import time
-from collections import deque
 from multiprocessing import connection, get_all_start_methods, get_context
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ParameterError
 from ..experiments import runner
 from ..experiments.common import DEFAULT_SEED
-from .metrics import RouterStats, serving_manifest
-from .request import STATUS_CODES, ServeRequest, ServeResponse
-from .service import PredictionService
+from .metrics import RouterStats, router_manifest
+from .request import (
+    STATUS_CODES,
+    ServeRequest,
+    ServeResponse,
+    Ticket,
+    failure_response,
+    request_id_of,
+)
+from .service import PredictionService, ServingBackend
 
 __all__ = [
     "SharedHotTier",
     "ShardRouter",
-    "RouterTicket",
     "route_digest",
 ]
 
-#: Latency ring-buffer length (matches the in-process service).
-_LATENCY_WINDOW = 4096
+#: Payload bytes per hot-tier slot: room for any single-point answer
+#: and for sweeps of up to about 90 rows; a bigger payload is simply
+#: not cached (the slower tiers still answer it).
+_HOT_SLOT_BYTES = 8192
 
 #: Requests per pipe message: bulk submissions are forwarded in chunks
 #: of this many, so pipe overhead is amortized without head-of-line
@@ -312,14 +321,6 @@ class SharedHotTier:
             pass
 
 
-def _request_id_of(request: Union[ServeRequest, Dict[str, Any]]) \
-        -> Optional[str]:
-    if isinstance(request, ServeRequest):
-        return request.request_id
-    rid = request.get("request_id")
-    return rid if isinstance(rid, str) else None
-
-
 def _payload_of(response: ServeResponse) -> Dict[str, Any]:
     """The hot-tier payload for one ``ok`` response: the answer fields
     only — envelope fields (request id, latency, batch, cache flag) are
@@ -333,32 +334,11 @@ def _payload_of(response: ServeResponse) -> Dict[str, Any]:
     }
 
 
-def _hot_response(
-    payload: Dict[str, Any],
-    request: Union[ServeRequest, Dict[str, Any]],
-    latency_ms: float,
-) -> ServeResponse:
-    """Replay a hot-tier payload as a full response for ``request``."""
-    return ServeResponse(
-        status=payload["status"],
-        code=STATUS_CODES[payload["status"]],
-        op=payload["op"],
-        engine=payload["engine"],
-        machine=payload["machine"],
-        request_id=_request_id_of(request),
-        result=payload["result"],
-        cached=True,
-        batch=0,
-        latency_ms=latency_ms,
-    )
-
-
 def _worker_main(
     conn: "connection.Connection",
     shard: int,
     tier_name: Optional[str],
     tier_slots: int,
-    tier_slot_bytes: int,
     tier_lock: Any,
     service_kwargs: Dict[str, Any],
 ) -> None:
@@ -372,11 +352,12 @@ def _worker_main(
     already queued on the pipe joins the current round, so compatible
     requests across messages share micro-batches — and answers
     everything it received before honouring ``close``, which is what
-    gives the router its in-order drain.
+    gives the router its in-order drain.  It only ``put``s into the hot
+    tier: the router probed it for each of these requests and missed.
     """
     service = PredictionService(**service_kwargs)
     tier = (
-        SharedHotTier.attach(tier_name, tier_slots, tier_slot_bytes,
+        SharedHotTier.attach(tier_name, tier_slots, _HOT_SLOT_BYTES,
                              tier_lock)
         if tier_name is not None else None
     )
@@ -395,50 +376,30 @@ def _worker_main(
                     closing = True
                 else:
                     entries.extend(msg[1])
-            # Hot-tier replays answer immediately; misses are *all*
-            # submitted before any is waited on, so they share flushes.
-            hot: List[Tuple[int, Dict[str, Any]]] = []
-            misses: List[Tuple[int, bytes, Any]] = []
-            for seq, digest, request in entries:
-                # Stream steps never touch the tier: their digest is the
+            # Everything is submitted before anything is waited on, so
+            # compatible requests share flushes.
+            tickets = [
+                (seq, digest, service.submit(request))
+                for seq, digest, request in entries
+            ]
+            done = []
+            for seq, digest, ticket in tickets:
+                response = ticket.result()
+                # Stream steps never enter the tier: their digest is the
                 # session, not the question, and their answers are
                 # positional — replaying one would answer the wrong
                 # prefix.
-                payload = (
-                    tier.get(digest)
-                    if tier is not None and not _is_stream(request)
-                    else None
-                )
-                if payload is not None:
-                    hot.append(
-                        (seq, _hot_response(payload, request, 0.0)
-                         .to_dict())
-                    )
-                else:
-                    misses.append((seq, digest, request))
-            if hot:
-                conn.send(("done", hot))
-            if misses:
-                tickets = [
-                    (seq, digest, service.submit(request))
-                    for seq, digest, request in misses
-                ]
-                done = []
-                for seq, digest, ticket in tickets:
-                    response = ticket.result()
-                    if tier is not None and response.ok \
-                            and response.engine != "stream":
-                        tier.put(digest, _payload_of(response))
-                    done.append((seq, response.to_dict()))
+                if tier is not None and response.ok \
+                        and response.engine != "stream":
+                    tier.put(digest, _payload_of(response))
+                done.append((seq, response.to_dict()))
+            if done:
                 conn.send(("done", done))
     finally:
         service.close()
-        manifest = dict(serving_manifest(service), shard=shard)
+        manifest = dict(service.manifest(), shard=shard)
         if tier is not None:
-            manifest.update(
-                hot_hits=tier.hits, hot_puts=tier.puts,
-                hot_skipped=tier.skipped,
-            )
+            manifest.update(hot_puts=tier.puts, hot_skipped=tier.skipped)
             tier.close()
         try:
             conn.send(("bye", manifest))
@@ -447,77 +408,30 @@ def _worker_main(
             pass
 
 
-class RouterTicket:
-    """Handle for one request submitted to a :class:`ShardRouter`;
-    ``result()`` blocks for the :class:`ServeResponse` (the router-side
-    analogue of :class:`~repro.serving.service.Ticket`)."""
-
-    def __init__(self, request_id: Optional[str]) -> None:
-        self.request_id = request_id
-        self.t_submit = time.monotonic()
-        self.response: Optional[ServeResponse] = None
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._callbacks: List[Callable[["RouterTicket"], None]] = []
-
-    def _resolve(self, response: ServeResponse) -> None:
-        with self._lock:
-            if self.response is not None:
-                return
-            self.response = response
-            callbacks, self._callbacks = self._callbacks, []
-        self._event.set()
-        for fn in callbacks:
-            fn(self)
-
-    def result(self, timeout: Optional[float] = None) -> ServeResponse:
-        """Block until the response is ready (raises ``TimeoutError``
-        after ``timeout`` seconds)."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("request still pending")
-        assert self.response is not None
-        return self.response
-
-    def add_done_callback(
-        self, fn: Callable[["RouterTicket"], None]
-    ) -> None:
-        """Run ``fn(ticket)`` once the response is ready (immediately if
-        it already is); same contract as
-        :meth:`repro.serving.service.Ticket.add_done_callback`."""
-        with self._lock:
-            if self.response is None:
-                self._callbacks.append(fn)
-                return
-        fn(self)
-
-
-class ShardRouter:
+class ShardRouter(ServingBackend):
     """Front door of the sharded serving tier.
 
     Spawns ``workers`` processes, each hosting a stock
     :class:`PredictionService` built from ``**service_kwargs`` (the
     same knobs as the single-process service), and routes every request
     by :func:`route_digest` — identical questions always reach the same
-    shard.  A :class:`SharedHotTier` is probed first, router-side, and
-    populated by the workers, so a question *any* shard has answered is
-    replayed from shared memory without crossing a pipe at all.
+    shard.  The router probes a :class:`SharedHotTier` once per request
+    before forwarding, and the workers fill it, so a question *any*
+    shard has answered is replayed from shared memory without crossing
+    a pipe at all.
 
-    The public surface mirrors :class:`PredictionService` — ``submit``
-    / ``call`` / ``serve`` / ``stats`` / ``close``, context-manager
-    support — so the CLI and front end drive either interchangeably.
+    It keeps the :class:`~repro.serving.service.ServingBackend`
+    contract, so the CLI and the front end drive it and the
+    single-process service interchangeably.
 
     Parameters
     ----------
     workers:
         Shard count (>= 1).  Each worker is one process with one
         dispatcher thread.
-    hot_tier_slots / hot_tier_slot_bytes:
-        Shared hot-tier geometry; ``hot_tier_slots=0`` disables the
-        tier entirely (every request crosses a pipe).
-    router_probe:
-        Probe the hot tier in the router before forwarding (default).
-        ``False`` restricts tier probes to the workers — useful for
-        benchmarking the pure routed path.
+    hot_tier_slots:
+        Shared hot-tier slots; ``0`` disables the tier entirely (every
+        request crosses a pipe).
     service_kwargs:
         Forwarded verbatim to each worker's ``PredictionService``.
     """
@@ -527,14 +441,12 @@ class ShardRouter:
         workers: int = 2,
         *,
         hot_tier_slots: int = 1024,
-        hot_tier_slot_bytes: int = 8192,
-        router_probe: bool = True,
         **service_kwargs: Any,
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
+        super().__init__(RouterStats())
         self.workers = int(workers)
-        self.router_probe = bool(router_probe)
         # Fork keeps worker start-up cheap (no re-import of the
         # package); fall back to the platform default elsewhere.
         ctx = get_context(
@@ -546,23 +458,17 @@ class ShardRouter:
         if hot_tier_slots > 0:
             tier_lock = ctx.Lock()
             self._tier = SharedHotTier(
-                hot_tier_slots, hot_tier_slot_bytes, lock=tier_lock
+                hot_tier_slots, _HOT_SLOT_BYTES, lock=tier_lock
             )
             tier_name = self._tier.name
-        self._lock = threading.Lock()
-        self._stats = RouterStats()
-        self._latencies: "deque[float]" = deque(maxlen=_LATENCY_WINDOW)
         self._seq = itertools.count()
         #: seq -> (ticket, digest, request, shard); the rebalance map.
-        self._pending: Dict[
-            int, Tuple[RouterTicket, bytes, Any, int]
-        ] = {}
+        self._pending: Dict[int, Tuple[Ticket, bytes, Any, int]] = {}
         self._live = [True] * self.workers
         self._shard_routed = [0] * self.workers
         self._manifests: List[Optional[Dict[str, Any]]] = \
             [None] * self.workers
         self._closing = False
-        self._t_start = time.monotonic()
         self._conns: List[Any] = []
         self._procs: List[Any] = []
         self._send_locks = [threading.Lock() for _ in range(self.workers)]
@@ -570,9 +476,8 @@ class ShardRouter:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, shard, tier_name,
-                      hot_tier_slots, hot_tier_slot_bytes, tier_lock,
-                      dict(service_kwargs)),
+                args=(child_conn, shard, tier_name, hot_tier_slots,
+                      tier_lock, dict(service_kwargs)),
                 name=f"repro-serving-shard-{shard}",
                 daemon=True,
             )
@@ -593,56 +498,28 @@ class ShardRouter:
             reader.start()
 
     # ------------------------------------------------------------------
-    # public API (mirrors PredictionService)
+    # public API (the ServingBackend contract)
     # ------------------------------------------------------------------
 
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def submit(
-        self, request: Union[ServeRequest, Dict[str, Any]]
-    ) -> RouterTicket:
-        """Route one request; returns a :class:`RouterTicket` immediately
-        (already resolved on a hot-tier hit)."""
+    def submit(self, request: Any) -> Ticket:
+        """Route one request; returns a :class:`Ticket` immediately
+        (already resolved on a hot-tier hit or a bad request)."""
         return self._submit_many([request])[0]
 
-    def call(
-        self,
-        request: Union[ServeRequest, Dict[str, Any]],
-        timeout: Optional[float] = None,
-    ) -> ServeResponse:
-        """Submit one request and block for its response."""
-        return self.submit(request).result(timeout)
-
     def serve(
-        self,
-        requests: Sequence[Union[ServeRequest, Dict[str, Any]]],
-        timeout: Optional[float] = None,
+        self, requests: Sequence[Any], timeout: Optional[float] = None
     ) -> List[ServeResponse]:
         """Submit many requests, then collect responses in submit order.
 
         Bulk submission is the router's fast path: requests are grouped
         per shard and forwarded in chunked pipe messages, so the pipe
         cost is per chunk, not per request."""
-        tickets = self._submit_many(requests)
-        return [t.result(timeout) for t in tickets]
+        return [t.result(timeout) for t in self._submit_many(requests)]
 
-    def stats(self) -> RouterStats:
-        """Snapshot of the router counters."""
-        with self._lock:
-            return dataclasses.replace(self._stats)
-
-    def latencies_ms(self) -> List[float]:
-        """Snapshot of the recent response latencies (ring buffer)."""
-        with self._lock:
-            return list(self._latencies)
-
-    def uptime_seconds(self) -> float:
-        """Seconds since the router started."""
-        return time.monotonic() - self._t_start
+    def manifest(self) -> Dict[str, Any]:
+        """The router manifest (:func:`~repro.serving.metrics.
+        router_manifest`); per-shard manifests join it at drain."""
+        return router_manifest(self)
 
     def live_workers(self) -> int:
         """Shards currently believed alive."""
@@ -711,35 +588,15 @@ class ShardRouter:
     # routing
     # ------------------------------------------------------------------
 
-    def _response_stub(
-        self,
-        request: Union[ServeRequest, Dict[str, Any]],
-        status: str,
-        error: str,
-    ) -> ServeResponse:
-        op = request.op if isinstance(request, ServeRequest) \
-            else str(request.get("op", "")) if isinstance(request, dict) \
-            else ""
-        return ServeResponse(
-            status=status, code=STATUS_CODES[status], op=op, engine="",
-            machine="", request_id=_request_id_of(request)
-            if isinstance(request, (ServeRequest, dict)) else None,
-            error=error,
-        )
-
     def _fail(
-        self,
-        ticket: RouterTicket,
-        request: Any,
-        status: str,
-        error: str,
+        self, ticket: Ticket, request: Any, status: str, error: str
     ) -> None:
         with self._lock:
             if status == "closed":
                 self._stats.closed += 1
             else:
                 self._stats.failed += 1
-        ticket._resolve(self._response_stub(request, status, error))
+        ticket._resolve(failure_response(request, status, error))
 
     def _shard_of(self, digest: bytes) -> Optional[int]:
         """Home shard for a digest, remapped past dead workers (caller
@@ -753,14 +610,11 @@ class ShardRouter:
                 return shard
         return None
 
-    def _submit_many(
-        self, requests: Sequence[Union[ServeRequest, Dict[str, Any]]]
-    ) -> List[RouterTicket]:
-        tickets: List[RouterTicket] = []
-        forwards: List[Tuple[RouterTicket, bytes, Any]] = []
+    def _submit_many(self, requests: Sequence[Any]) -> List[Ticket]:
+        tickets: List[Ticket] = []
+        forwards: List[Tuple[Ticket, bytes, Any]] = []
         for request in requests:
-            digest = route_digest(request)
-            ticket = RouterTicket(_request_id_of(request))
+            ticket = Ticket(request_id_of(request))
             tickets.append(ticket)
             with self._lock:
                 self._stats.received += 1
@@ -768,18 +622,27 @@ class ShardRouter:
             if closing:
                 self._fail(ticket, request, "closed", "router closed")
                 continue
-            if self.router_probe and self._tier is not None \
-                    and not _is_stream(request):
+            try:
+                digest = route_digest(request)
+            except ParameterError as exc:  # not a request at all
+                ticket._resolve(
+                    failure_response(request, "bad-request", str(exc))
+                )
+                continue
+            if self._tier is not None and not _is_stream(request):
                 payload = self._tier.get(digest)
                 if payload is not None:
-                    with self._lock:
-                        self._stats.hot_hits += 1
                     latency = (time.monotonic() - ticket.t_submit) * 1000.0
                     with self._lock:
+                        self._stats.hot_hits += 1
                         self._latencies.append(latency)
-                    ticket._resolve(
-                        _hot_response(payload, request, latency)
-                    )
+                    # The payload is the answer; the envelope is this
+                    # request's own.
+                    ticket._resolve(ServeResponse(
+                        code=STATUS_CODES[payload["status"]],
+                        request_id=ticket.request_id, cached=True,
+                        latency_ms=latency, **payload,
+                    ))
                     continue
             forwards.append((ticket, digest, request))
         if forwards:
@@ -787,12 +650,12 @@ class ShardRouter:
         return tickets
 
     def _dispatch(
-        self, entries: Sequence[Tuple[RouterTicket, bytes, Any]]
+        self, entries: Sequence[Tuple[Ticket, bytes, Any]]
     ) -> None:
         """Forward entries to their shards in chunked pipe messages."""
         by_shard: Dict[int, List[Tuple[int, bytes, Any]]] = {}
-        dead: List[Tuple[RouterTicket, Any]] = []
-        closed: List[Tuple[RouterTicket, Any]] = []
+        dead: List[Tuple[Ticket, Any]] = []
+        closed: List[Tuple[Ticket, Any]] = []
         with self._lock:
             # Re-check ``_closing`` under the lock: close() may have run
             # to completion (readers joined, leftover sweep done) since

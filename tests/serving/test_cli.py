@@ -28,6 +28,8 @@ LINES = [
                 "request_id": "first"}),
     "",                                     # blank lines are skipped
     "this is not json",                     # must answer 400, not crash
+    "[1, 2]",                               # JSON, but not an object
+    "7",
     json.dumps({"op": "simulate", "machine": "toy", "engine": "event",
                 "pattern": {"kind": "uniform", "n": N},
                 "request_id": "last"}),
@@ -40,13 +42,13 @@ def test_ndjson_in_process():
         status = _run_ndjson(svc, io.StringIO("\n".join(LINES)), out)
     assert status == 0
     responses = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert len(responses) == 3              # blank line produced nothing
+    assert len(responses) == 5              # blank line produced nothing
     assert responses[0]["status"] == "ok"
     assert responses[0]["request_id"] == "first"
-    assert responses[1]["status"] == "bad-request"
-    assert responses[2]["status"] == "ok"
-    assert responses[2]["request_id"] == "last"
-    assert responses[2]["result"]["simulated_time"] > 0
+    assert [r["status"] for r in responses[1:4]] == ["bad-request"] * 3
+    assert responses[4]["status"] == "ok"
+    assert responses[4]["request_id"] == "last"
+    assert responses[4]["result"]["simulated_time"] > 0
 
 
 def test_ndjson_subprocess(tmp_path, isolated_cache):
@@ -61,11 +63,12 @@ def test_ndjson_subprocess(tmp_path, isolated_cache):
     )
     assert proc.returncode == 0, proc.stderr
     responses = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [r["status"] for r in responses] == ["ok", "bad-request", "ok"]
+    assert [r["status"] for r in responses] == \
+        ["ok", "bad-request", "bad-request", "bad-request", "ok"]
     assert "serving metrics" in proc.stderr
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["received"] == 3
-    assert manifest["served"] == 2 and manifest["invalid"] == 1
+    assert manifest["received"] == 5
+    assert manifest["served"] == 2 and manifest["invalid"] == 3
 
 
 def test_ndjson_subprocess_sharded(tmp_path, isolated_cache):
@@ -83,16 +86,17 @@ def test_ndjson_subprocess_sharded(tmp_path, isolated_cache):
     )
     assert proc.returncode == 0, proc.stderr
     responses = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [r["status"] for r in responses] == ["ok", "bad-request", "ok"]
+    assert [r["status"] for r in responses] == \
+        ["ok", "bad-request", "bad-request", "bad-request", "ok"]
     assert "router metrics" in proc.stderr
     manifest = json.loads(manifest_path.read_text())
     assert manifest["service"] == "repro.serving.ShardRouter"
     assert manifest["workers"] == 2
-    assert manifest["received"] == 3
+    assert manifest["received"] == 5
     assert len(manifest["shards"]) == 2
     # every request was answered by exactly one shard
     assert sum(s["received"] for s in manifest["shards"]) \
-        + manifest["hot_hits"] == 3
+        + manifest["hot_hits"] == 5
 
 
 @pytest.fixture()

@@ -129,6 +129,15 @@ class TestProtocols:
         resp = _http_roundtrip(fe.address, raw)
         assert resp.startswith(b"HTTP/1.1 400")
 
+    def test_http_negative_content_length_answers_400(self, frontend):
+        fe, _service, _thread = frontend
+        body = json.dumps(_request(0)).encode()
+        raw = b"POST / HTTP/1.1\r\nContent-Length: -3\r\n\r\n" + body
+        resp = _http_roundtrip(fe.address, raw)
+        head, _, payload = resp.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(payload) == {"error": "bad Content-Length"}
+
     def test_huge_numeric_request_cannot_kill_the_loop(self, frontend):
         """Regression: ``map_seed=10**400`` used to raise OverflowError
         inside the key hasher, unwind serve_forever, and drop every

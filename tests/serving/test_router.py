@@ -17,7 +17,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.serving import (
     PredictionService,
-    RouterTicket,
+    Ticket,
     ServeRequest,
     ShardRouter,
     SharedHotTier,
@@ -197,6 +197,16 @@ class TestRouterLifecycle:
         with pytest.raises(ParameterError):
             ShardRouter(0)
 
+    def test_non_object_request_answers_400(self):
+        """Anything that is not a request is answered, not raised: the
+        router refuses it itself, like a bad request."""
+        with ShardRouter(2, **_service_kwargs()) as router:
+            for junk in (7, [1, 2]):
+                resp = router.submit(junk).result(timeout=30)
+                assert resp.status == "bad-request" and resp.code == 400
+                assert resp.error
+            assert router.call(REQUESTS[0], timeout=120).ok
+
     def test_submit_after_close_answers_closed_503(self):
         router = ShardRouter(2, **_service_kwargs())
         router.close()
@@ -251,7 +261,7 @@ class TestRouterLifecycle:
         router = ShardRouter(2, **_service_kwargs())
         router.close()
         request = dict(REQUESTS[0])
-        ticket = RouterTicket(None)
+        ticket = Ticket(None)
         router._dispatch([(ticket, route_digest(request), request)])
         resp = ticket.result(timeout=30)
         assert resp.status == "closed" and resp.code == 503
@@ -280,7 +290,7 @@ class TestRouterLifecycle:
                 time.sleep(0.02)
             # Plant one in-flight entry homed on the dead shard, then
             # replay the reader's exit path deterministically.
-            ticket = RouterTicket(None)
+            ticket = Ticket(None)
             with router._lock:
                 seq = next(router._seq)
                 router._pending[seq] = \

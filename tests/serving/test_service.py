@@ -73,6 +73,7 @@ class TestAdmission:
              "pattern": {"kind": "uniform", "n": N}},            # bad engine
             {"op": "predict", "pattern": {"kind": "uniform", "n": N},
              "sweep": {"param": "k", "values": []}},             # empty sweep
+            [1, 2],                                              # not an object
         ]
         with PredictionService(disk_cache=False) as svc:
             responses = svc.serve(bad)
@@ -102,6 +103,17 @@ class TestAdmission:
         svc.close()  # idempotent
         stats = svc.stats()
         assert stats.closed == 1 and stats.shed == 0
+
+    def test_disk_cache_follows_the_runner_switch(
+        self, isolated_cache, monkeypatch
+    ):
+        """``disk_cache=True`` uses the runner's memo as the runner is
+        configured: with ``REPRO_CACHE=0`` the flush stores nothing."""
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        with PredictionService(disk_cache=True, flush_ms=1.0) as svc:
+            assert svc.call(PREDICT).ok
+        assert not isolated_cache.exists() or \
+            not any(isolated_cache.iterdir())
 
     def test_bad_max_queue_rejected(self):
         with pytest.raises(ParameterError):

@@ -10,6 +10,7 @@ session — rerouted chunks are answered 400 with a reopen hint and the
 router keeps serving.
 """
 
+import io
 import json
 import socket
 import threading
@@ -25,9 +26,11 @@ from repro.serving import (
     route_digest,
     serving_manifest,
 )
+from repro.serving.__main__ import _run_ndjson
 from repro.simulator import (
     CRAY_J90,
     StreamSimulator,
+    simulate_scatter,
     simulate_scatter_engine,
     toy_machine,
 )
@@ -160,6 +163,30 @@ class TestStreamSessions:
             # window drained: chunks are admitted again
             assert svc.call(_chunk("w", [10]), timeout=60).ok
             assert svc.stats().shed == 1
+
+    def test_stdio_filter_paces_chunks_to_the_window(self, monkeypatch):
+        """The stdio filter holds a chunk while its session has
+        ``stream_window`` chunks unanswered: a trace piped in faster
+        than the dispatcher feeds it is paced, never shed."""
+        orig = StreamSimulator.feed
+
+        def slow(self, addresses):
+            time.sleep(0.02)
+            return orig(self, addresses)
+
+        monkeypatch.setattr(StreamSimulator, "feed", slow)
+        chunks = [_trace(64, seed=s) for s in range(8)]
+        lines = [_open("p", "j90")] + [_chunk("p", c) for c in chunks] \
+            + [_close("p")]
+        out = io.StringIO()
+        with PredictionService(disk_cache=False, stream_window=2) as svc:
+            _run_ndjson(svc, io.StringIO(
+                "\n".join(json.dumps(line) for line in lines)
+            ), out)
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["status"] for r in responses] == ["ok"] * 10
+        one = simulate_scatter(CRAY_J90, np.concatenate(chunks))
+        assert responses[-1]["result"]["simulated_time"] == float(one.time)
 
     def test_failed_step_kills_only_its_session(self, monkeypatch):
         boom = RuntimeError("carry state lost")

@@ -55,12 +55,15 @@ printf '%s\n' \
 echo "router smoke: ok"
 
 echo "== streaming smoke =="
+# Eight chunks against a window of two: the stdio filter must pace the
+# session (hold a chunk until the window has room), never shed it.
+chunk='{"op": "stream", "action": "chunk", "stream_id": "smoke", "pattern": {"kind": "uniform", "n": 4096}}'
 printf '%s\n' \
     '{"op": "stream", "action": "open", "stream_id": "smoke", "machine": "j90"}' \
-    '{"op": "stream", "action": "chunk", "stream_id": "smoke", "pattern": {"kind": "hotspot", "n": 4096, "k": 512}}' \
+    "$chunk" "$chunk" "$chunk" "$chunk" "$chunk" "$chunk" "$chunk" "$chunk" \
     '{"op": "stream", "action": "close", "stream_id": "smoke"}' \
-    | PYTHONPATH=src python -m repro.serving --flush-ms 1 \
-    | grep -c '"status": "ok"' | grep -qx 3
+    | PYTHONPATH=src python -m repro.serving --flush-ms 1 --stream-window 2 \
+    | grep -c '"status": "ok"' | grep -qx 10
 echo "streaming smoke: ok"
 
 echo "== perf guard =="
