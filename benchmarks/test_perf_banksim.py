@@ -23,7 +23,7 @@ from conftest import run_once
 
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_SPACE, j90
 from repro.simulator import simulate_scatter
-from repro.simulator.banksim import fifo_service_times
+from repro.simulator import fifo_service_times
 from repro.workloads import hotspot
 
 BENCH_JSON = pathlib.Path(__file__).parents[1] / "BENCH_banksim.json"

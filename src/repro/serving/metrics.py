@@ -71,7 +71,8 @@ class ServingStats:
     expired:
         Requests whose deadline lapsed while queued (the 504 path).
     failed:
-        Requests lost to an evaluation error (the 500 path).
+        Requests lost to an admission or evaluation error (the 500
+        path).
     invalid:
         Requests rejected at parse/validation (the 400 path).
     lru_hits / disk_hits:

@@ -96,9 +96,6 @@ from .request import (
 
 __all__ = ["PredictionService", "ServingBackend", "evaluate_point"]
 
-#: Admission-queue poll period while the batcher is idle, seconds.
-_IDLE_POLL_S = 0.05
-
 #: Latency ring-buffer length (enough for stable p95 on any bench run
 #: without unbounded growth on a long-lived service).
 _LATENCY_WINDOW = 4096
@@ -529,8 +526,10 @@ class PredictionService(ServingBackend):
         # in-flight counter below, which covers items waiting in open
         # micro-batch buckets too — capacity is only released when an
         # item is actually resolved, so backpressure cannot leak into
-        # the batcher.
-        self._queue: "queue.Queue[Union[_WorkItem, _StreamItem]]" = \
+        # the batcher.  ``None`` on the queue only wakes the dispatcher
+        # (close() posts it).
+        self._queue: \
+            "queue.Queue[Optional[Union[_WorkItem, _StreamItem]]]" = \
             queue.Queue()
         self._in_flight = 0
         self._batcher = MicroBatcher(
@@ -556,6 +555,9 @@ class PredictionService(ServingBackend):
         if self._closing.is_set():
             return
         self._closing.set()
+        # Wake the dispatcher now rather than when its oldest bucket
+        # falls due: it then flushes every bucket and exits.
+        self._queue.put(None)
         self._thread.join()
         # A submit racing the shutdown check may have queued after the
         # dispatcher's final drain; resolve those as closed (503), never
@@ -567,6 +569,8 @@ class PredictionService(ServingBackend):
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
+            if item is None:
+                continue
             with self._lock:
                 self._stats.closed += 1
                 if not isinstance(item, _StreamItem):
@@ -582,9 +586,10 @@ class PredictionService(ServingBackend):
 
         A dict is parsed/validated first; an invalid request, or
         anything that is not a request at all, is answered
-        ``bad-request`` (400).  Cache hits resolve the ticket before
-        this returns; everything else resolves once its micro-batch
-        flushes (or sheds/expires).
+        ``bad-request`` (400), and any other failure while admitting it
+        ``error`` (500).  Cache hits resolve the ticket before this
+        returns; everything else resolves once its micro-batch flushes
+        (or sheds/expires).
         """
         with self._lock:
             self._stats.received += 1
@@ -599,6 +604,12 @@ class PredictionService(ServingBackend):
                 self._stats.invalid += 1
             return Ticket.answered(
                 failure_response(request, "bad-request", str(exc))
+            )
+        except Exception as exc:  # reprolint: disable=REPRO111 -- whatever admitting one request raises (numpy's MemoryError on a huge pattern) is that request's 500; it must not escape into the caller, a shard worker's loop
+            with self._lock:
+                self._stats.failed += 1
+            return Ticket.answered(
+                failure_response(request, "error", f"admission failed: {exc}")
             )
 
     def manifest(self) -> Dict[str, Any]:
@@ -642,54 +653,59 @@ class PredictionService(ServingBackend):
         deadline = None if deadline_ms is None \
             else ticket.t_submit + deadline_ms / 1000.0
         group = (machine, req.engine, req.bank_map, req.map_seed, req.op)
-        for slot, addr in enumerate(patterns):
-            point = {
-                "op": req.op,
-                "machine": machine,
-                "addresses": addr,
-                "engine": req.engine,
-                "bank_map_kind": req.bank_map,
-                "map_seed": req.map_seed,
-            }
-            key = runner.cache_key(evaluate_point, point)
-            with self._lock:
-                hit = self._lru.get(key)
-                if hit is not None:
-                    self._stats.lru_hits += 1
-            if hit is not None:
-                ticket._complete(slot, hit, cached=True, batch=0)
-                continue
-            if self.disk_cache:
-                found, value = runner.cache_fetch(evaluate_point, point)
-                if found:
-                    with self._lock:
-                        self._stats.disk_hits += 1
-                        self._lru.put(key, value)
-                    ticket._complete(slot, value, cached=True, batch=0)
-                    continue
-            if self._closing.is_set():
+        try:
+            for slot, addr in enumerate(patterns):
+                point = {
+                    "op": req.op,
+                    "machine": machine,
+                    "addresses": addr,
+                    "engine": req.engine,
+                    "bank_map_kind": req.bank_map,
+                    "map_seed": req.map_seed,
+                }
+                key = runner.cache_key(evaluate_point, point)
                 with self._lock:
-                    self._stats.closed += 1
-                ticket._fail("closed", "service is shutting down")
-                break
-            item = _WorkItem(ticket, slot, key, group, point, deadline)
-            with self._lock:
-                if self._in_flight >= self.max_queue:
-                    self._stats.shed += 1
-                    admitted = False
-                else:
-                    self._in_flight += 1
-                    self._stats.queue_high_water = max(
-                        self._stats.queue_high_water, self._in_flight
+                    hit = self._lru.get(key)
+                    if hit is not None:
+                        self._stats.lru_hits += 1
+                if hit is not None:
+                    ticket._complete(slot, hit, cached=True, batch=0)
+                    continue
+                if self.disk_cache:
+                    found, value = runner.cache_fetch(evaluate_point, point)
+                    if found:
+                        with self._lock:
+                            self._stats.disk_hits += 1
+                            self._lru.put(key, value)
+                        ticket._complete(slot, value, cached=True, batch=0)
+                        continue
+                if self._closing.is_set():
+                    with self._lock:
+                        self._stats.closed += 1
+                    ticket._fail("closed", "service is shutting down")
+                    break
+                item = _WorkItem(ticket, slot, key, group, point, deadline)
+                with self._lock:
+                    if self._in_flight >= self.max_queue:
+                        self._stats.shed += 1
+                        admitted = False
+                    else:
+                        self._in_flight += 1
+                        self._stats.queue_high_water = max(
+                            self._stats.queue_high_water, self._in_flight
+                        )
+                        admitted = True
+                if not admitted:
+                    ticket._fail(
+                        "overloaded",
+                        f"admission queue full ({self.max_queue} items)",
                     )
-                    admitted = True
-            if not admitted:
-                ticket._fail(
-                    "overloaded",
-                    f"admission queue full ({self.max_queue} items)",
-                )
-                break
-            self._queue.put_nowait(item)
+                    break
+                self._queue.put_nowait(item)
+        except Exception as exc:  # reprolint: disable=REPRO111 -- slots already queued wait on this ticket; failing it answers 500 and lets the flush drop them
+            with self._lock:
+                self._stats.failed += 1
+            ticket._fail("error", f"admission failed: {exc}")
         return ticket
 
     # ------------------------------------------------------------------
@@ -873,13 +889,14 @@ class PredictionService(ServingBackend):
 
     def _dispatch_loop(self) -> None:
         while True:
-            now = time.monotonic()
-            wait = self._batcher.seconds_until_due(now)
-            if wait is None:
-                wait = _IDLE_POLL_S
+            # Sleep until the oldest bucket falls due, or until the next
+            # item when nothing is pending: close() wakes it with None.
+            wait = self._batcher.seconds_until_due(time.monotonic())
             try:
                 item: Optional[Union[_WorkItem, _StreamItem]] = \
-                    self._queue.get(timeout=max(wait, 0.0005))
+                    self._queue.get(
+                        timeout=None if wait is None else max(wait, 0.0005)
+                    )
             except queue.Empty:
                 item = None
             if item is not None:
@@ -898,7 +915,7 @@ class PredictionService(ServingBackend):
                         break
                     if isinstance(nxt, _StreamItem):
                         self._stream_step(nxt)
-                    else:
+                    elif nxt is not None:
                         self._batcher.add(nxt.group, nxt, now)
             for items in self._batcher.take_due(time.monotonic()):
                 self._flush(items)

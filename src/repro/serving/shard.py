@@ -117,8 +117,8 @@ _ROUTE_FIELDS: Tuple[Tuple[str, Any], ...] = (
 
 #: Version tag of the routing/hot-tier key encoding; bump on any change
 #: to ``_ROUTE_FIELDS`` or the payload layout.  v2: stream requests
-#: route by session identity alone.
-_ROUTE_VERSION = 2
+#: route by session identity alone.  v3: no code-version stamp.
+_ROUTE_VERSION = 3
 
 #: What routes a stream request: the session, nothing else.  Every
 #: ``open``/``chunk``/``close`` of one session must land on the same
@@ -150,9 +150,12 @@ def route_digest(request: Union[ServeRequest, Dict[str, Any]]) -> bytes:
     must all reach the shard holding its state, and their answers are
     never hot-tier material — a chunk's result depends on everything
     fed before it, not on the request alone.  Built on the runner's
-    canonical argument encoder and stamped with the package code
-    version, the same provenance rule as the memo cache — a code change
-    can never replay a stale hot-tier entry across process generations.
+    canonical argument encoder.  It depends on the question alone, not
+    on the code version: the hot tier lives for one router generation
+    (created in :class:`ShardRouter`, unlinked at ``close()``), so no
+    entry outlives the code that computed it, and a source edit does
+    not reshuffle shards.  The disk memo keeps its own code-version
+    stamp.
     """
     spec = _STREAM_ROUTE_FIELDS if _is_stream(request) else _ROUTE_FIELDS
     if isinstance(request, ServeRequest):
@@ -165,7 +168,7 @@ def route_digest(request: Union[ServeRequest, Dict[str, Any]]) -> bytes:
             f"got {type(request).__name__}"
         )
     h = hashlib.sha256()
-    h.update(f"route{_ROUTE_VERSION}:{runner.code_version()}".encode())
+    h.update(f"route{_ROUTE_VERSION}:".encode())
     runner._feed(h, fields)
     return h.digest()[:16]
 

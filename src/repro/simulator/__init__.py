@@ -2,8 +2,6 @@
 C90/J90 testbed (see DESIGN.md, Substitutions)."""
 
 from .banksim import (
-    fifo_service_times,
-    fifo_service_times_cached,
     simulate_batch,
     simulate_gather,
     simulate_scatter,
@@ -11,7 +9,7 @@ from .banksim import (
 )
 from .butterfly import omega_ports, simulate_scatter_butterfly
 from .cycle import simulate_scatter_cycle
-from .cycle_batch import simulate_scatter_batch
+from .cycle_batch import fifo_service_times, fifo_service_times_cached
 from .cycle_grid import simulate_scatter_grid
 from .dispatch import ENGINES, simulate_scatter_engine
 from .machine import (
@@ -61,7 +59,6 @@ __all__ = [
     "simulate_gather",
     "simulate_scatter_blocked",
     "simulate_scatter_cycle",
-    "simulate_scatter_batch",
     "simulate_scatter_grid",
     "DEFAULT_CHUNK",
     "StreamSimulator",

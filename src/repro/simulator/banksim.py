@@ -12,42 +12,40 @@ bank obey the recurrence::
 
     start[i] = max(arrival[i], start[i-1] + d)
 
-which this module solves for *all* banks at once with a segmented
-cumulative-maximum: within one bank's arrival-ordered segment,
-
-    start[i] = i*d + max_{j <= i} (arrival[j] - j*d)
-
-so a single ``np.maximum.accumulate`` over per-segment-offset values gives
-every start time with no Python-level loop (see the HPC guides:
-vectorize the recurrence, don't iterate it).
-
 An optional network stage (machine ``n_sections`` / ``section_gap``) puts a
 rate-limited link in front of each contiguous group of banks; requests
 queue at the link first, then at the bank.  This reproduces the paper's
 network worst case (versions (a)/(b)/(c)) where a pattern confined to one
 section runs up to ~2.5x over the bank-only prediction.
 
-The bounded-queue, stalling variant lives in :mod:`repro.simulator.cycle`
-and is validated to agree with this module when queues are unbounded.
+The arithmetic is the batch engine's projector
+(:mod:`repro.simulator.cycle_batch`), which solves the recurrence for
+all banks at once with a segmented cumulative maximum.  banksim runs it
+with real-valued machine times, the section links, and no stall
+certificate: its queues are unbounded by definition, so every
+projection is the run.  The bounded-queue, stalling variant is
+:mod:`repro.simulator.cycle`, which agrees with this module exactly when
+queues are unbounded.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import math
+from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from ..core.contention import BankMap
-from ..errors import PatternError, SimulationError
+from ..errors import PatternError
+from .cycle import _bank_ids, _finish, _load, _new_acc, _Setup
+from .cycle_batch import _commit, _project, _survivors
 from .machine import MachineConfig, require_machine
 from .request import Assignment, RequestBatch
-from .sanitize import check_superstep, sanitize_enabled
+from .sanitize import sanitize_enabled
 from .stats import SimResult, SimTelemetry
 
 __all__ = [
-    "fifo_service_times",
-    "fifo_service_times_cached",
     "simulate_batch",
     "simulate_scatter",
     "simulate_gather",
@@ -55,377 +53,28 @@ __all__ = [
 ]
 
 
-def _rows_flatten(
-    arrivals: np.ndarray,
-    servers: np.ndarray,
-    init_free: Optional[np.ndarray],
-    what: str,
-) -> tuple:
-    """Validate one batched (rows, n) call and flatten it to a single
-    1-D problem by lifting each row's server ids into a disjoint range.
-
-    Returns ``(rows, n, flat_servers, flat_floors, n_srv)``.  Segments
-    of different rows can never share a lifted server id, so the 1-D
-    segmented-cummax kernel solves every row at once and each row's
-    answer is bit-identical to its own per-row call (the lexsort ties
-    break by flattened position, i.e. row-major input position, which
-    preserves each row's internal order).
-    """
-    if servers.ndim != 2 or arrivals.shape != servers.shape:
-        raise PatternError(
-            f"batched {what} requires matching 2-D (rows, n) "
-            "arrivals and servers"
-        )
-    rows, n = arrivals.shape
-    if n == 0:
-        return rows, n, None, None, 0
-    if servers.min() < 0:
-        raise PatternError("server ids must be >= 0")
-    if init_free is not None:
-        floors = np.asarray(init_free, dtype=np.float64)
-        if floors.ndim != 2 or floors.shape[0] != rows:
-            raise PatternError(
-                f"batched {what} requires init seeds of shape "
-                "(rows, n_servers)"
-            )
-        n_srv = floors.shape[1]
-        if int(servers.max()) >= n_srv:
-            raise PatternError("server ids outside the init seed width")
-        flat_floors = floors.ravel()
-    else:
-        n_srv = int(servers.max()) + 1
-        flat_floors = None
-    row_lift = np.arange(rows, dtype=np.int64)[:, None] * n_srv
-    flat_srv = (np.asarray(servers, dtype=np.int64) + row_lift).ravel()
-    return rows, n, flat_srv, flat_floors, n_srv
-
-
-def _per_request(value: Any, rows: int, n: int, name: str) -> Any:
-    """Broadcast a scalar / per-row (rows,) cost to the flattened grid.
-
-    Scalars pass through untouched (the 1-D kernel keeps its scalar
-    fast path); a per-row vector expands to one entry per request.
-    """
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return value
-    if arr.shape != (rows,):
-        raise SimulationError(
-            f"per-row {name} must have shape ({rows},), got {arr.shape}"
-        )
-    return np.broadcast_to(arr[:, None], (rows, n)).ravel()
-
-
-def fifo_service_times(
-    arrivals: np.ndarray, servers: np.ndarray, gap: float,
-    init_free: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Start times for FIFO service with one start per ``gap`` cycles per
-    server.
-
-    Parameters
-    ----------
-    arrivals:
-        float64 arrival time of each request.  May be a batched 2-D
-        ``(rows, n)`` array: each row is an independent grid point
-        (its own servers, its own seeds) and the whole grid is solved
-        in one vectorized pass, bit-identical per row to ``rows``
-        separate 1-D calls.
-    servers:
-        Integer server (bank or section link) id of each request
-        (same shape as ``arrivals``).
-    gap:
-        Minimum spacing between consecutive service starts at one server.
-        ``gap = 0`` means an unlimited server: start == arrival.  In
-        batched mode, also accepts a per-row ``(rows,)`` vector; a
-        per-request array is honoured as long as the gap is constant
-        within each server's segment (which per-row broadcasting
-        guarantees).
-    init_free:
-        Optional per-server floor on the first start (indexed by server
-        id): the cycle at which a previously busy server becomes free
-        again.  Lets the batch cycle engine re-enter the recurrence from
-        a mid-run machine state.  ``None`` means every server starts
-        free.  In batched mode: shape ``(rows, n_servers)``, one seed
-        row per grid row.
-
-    Returns
-    -------
-    float64 start times, aligned with the input order (and shape).  Ties
-    in arrival time are broken by input position (the global issue
-    order), matching the cycle-accurate reference simulator.
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    servers = np.asarray(servers)
-    if arrivals.ndim == 2:
-        rows, n, flat_srv, flat_floors, _ = _rows_flatten(
-            arrivals, servers, init_free, "fifo_service_times"
-        )
-        if rows == 0 or n == 0:
-            return np.zeros((rows, n), dtype=np.float64)
-        flat = fifo_service_times(
-            arrivals.ravel(), flat_srv,
-            _per_request(gap, rows, n, "gap"),
-            init_free=flat_floors,
-        )
-        return flat.reshape(rows, n)
-    if arrivals.shape != servers.shape or arrivals.ndim != 1:
-        raise PatternError("arrivals and servers must be matching 1-D arrays")
-    n = arrivals.size
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    gaps = None  # per-request gaps (batched rows); scalar path stays scalar
-    if np.ndim(gap) > 0:
-        gaps = np.asarray(gap, dtype=np.float64)
-        if gaps.shape != arrivals.shape:
-            raise SimulationError(
-                "per-request gap must align with arrivals"
-            )
-        gap_max = float(gaps.max())
-        if float(gaps.min()) < 0:
-            raise SimulationError("service gap must be >= 0")
-    else:
-        gap_max = float(gap)
-        if gap < 0:
-            raise SimulationError(f"service gap must be >= 0, got {gap}")
-    if gap_max == 0:
-        # All gaps zero: unlimited servers, start == max(arrival, floor).
-        if init_free is not None:
-            return np.maximum(
-                arrivals, np.asarray(init_free, dtype=np.float64)[servers]
-            )
-        return arrivals.copy()
-
-    idx = np.arange(n)
-    order = np.lexsort((idx, arrivals, servers))
-    s_arr = arrivals[order]
-    s_srv = servers[order]
-
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(s_srv[1:], s_srv[:-1], out=seg_start[1:])
-    seg_id = np.cumsum(seg_start) - 1
-    first_of_seg = np.flatnonzero(seg_start)
-    rank = idx - first_of_seg[seg_id]
-
-    # With per-request gaps the lift term becomes rank * (own segment's
-    # gap); constant within a segment, so the recurrence still telescopes
-    # to one cummax (and equals the scalar expression when all gaps agree,
-    # keeping the two paths bit-identical).
-    step = gap if gaps is None else gaps[order]
-    adjusted = s_arr - rank * step
-    if init_free is not None:
-        # Seed each segment head with its server's external floor: the
-        # first start becomes max(arrival, floor) (rank 0, so adjusted
-        # is the start itself) and the cummax propagates the constraint
-        # to the rest of the segment.
-        floors = np.asarray(init_free, dtype=np.float64)
-        adjusted[first_of_seg] = np.maximum(
-            adjusted[first_of_seg], floors[s_srv[first_of_seg]]
-        )
-    # Segmented cumulative max via per-segment offsets: each segment is
-    # lifted above the previous one's value range, so the running max never
-    # leaks across segments.  Exact for integer-valued times (span and
-    # offsets stay far below 2^53).
-    span = float(adjusted.max() - adjusted.min()) + gap_max + 1.0
-    lifted = adjusted + seg_id * span
-    running = np.maximum.accumulate(lifted) - seg_id * span
-    start_sorted = running + rank * step
-
-    start = np.empty(n, dtype=np.float64)
-    start[order] = start_sorted
-    return start
-
-
-def fifo_service_times_cached(
-    arrivals: np.ndarray,
-    servers: np.ndarray,
-    addresses: np.ndarray,
-    miss_cost: float,
-    hit_cost: float,
-    init_free: Optional[np.ndarray] = None,
-    init_addr: Optional[np.ndarray] = None,
-) -> tuple:
-    """FIFO service with a one-entry bank cache (cached-DRAM extension,
-    Hsu & Smith [HS93]).
-
-    A request whose address equals the *immediately previous* request
-    serviced by the same server is a row-buffer hit and occupies the
-    server for ``hit_cost`` cycles; otherwise ``miss_cost``.  Solved
-    vectorized like :func:`fifo_service_times`, with the per-segment gap
-    prefix sums replacing ``rank * gap``.
-
-    ``init_free`` floors each server's first start as in
-    :func:`fifo_service_times`; ``init_addr`` seeds each server's row
-    buffer with the address it last serviced (``-1`` = cold buffer;
-    addresses are non-negative), so a mid-run re-entry preserves hits
-    across the seam.
-
-    Batched mode mirrors :func:`fifo_service_times`: 2-D ``(rows, n)``
-    arrivals/servers/addresses solve one independent grid point per
-    row (bit-identical per row to per-row calls), with ``miss_cost`` /
-    ``hit_cost`` optionally per-row ``(rows,)`` vectors and the init
-    seeds shaped ``(rows, n_servers)``.
-
-    Returns ``(start, cost)`` aligned with the input order (and shape).
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    servers = np.asarray(servers)
-    addresses = np.asarray(addresses)
-    if arrivals.ndim == 2:
-        if addresses.shape != arrivals.shape:
-            raise PatternError(
-                "batched fifo_service_times_cached requires matching "
-                "2-D (rows, n) addresses"
-            )
-        rows, n, flat_srv, flat_floors, n_srv = _rows_flatten(
-            arrivals, servers, init_free, "fifo_service_times_cached"
-        )
-        if rows == 0 or n == 0:
-            empty = np.zeros((rows, n), dtype=np.float64)
-            return empty, empty.copy()
-        flat_seeds = None
-        if init_addr is not None:
-            seeds = np.asarray(init_addr)
-            if seeds.shape != (rows, n_srv):
-                raise PatternError(
-                    "batched init_addr must be shaped (rows, n_servers)"
-                )
-            flat_seeds = seeds.ravel()
-        start, cost = fifo_service_times_cached(
-            arrivals.ravel(), flat_srv, addresses.ravel(),
-            _per_request(miss_cost, rows, n, "miss_cost"),
-            _per_request(hit_cost, rows, n, "hit_cost"),
-            init_free=flat_floors, init_addr=flat_seeds,
-        )
-        return start.reshape(rows, n), cost.reshape(rows, n)
-    if not (arrivals.shape == servers.shape == addresses.shape) \
-            or arrivals.ndim != 1:
-        raise PatternError(
-            "arrivals, servers and addresses must be matching 1-D arrays"
-        )
-    per_req = None  # (hit, miss) per-request costs (batched rows)
-    if np.ndim(hit_cost) > 0 or np.ndim(miss_cost) > 0:
-        hit_req = np.broadcast_to(
-            np.asarray(hit_cost, dtype=np.float64), arrivals.shape
-        )
-        miss_req = np.broadcast_to(
-            np.asarray(miss_cost, dtype=np.float64), arrivals.shape
-        )
-        if arrivals.size and (
-            float(hit_req.min()) <= 0 or float(miss_req.min()) <= 0
-            or bool(np.any(hit_req > miss_req))
-        ):
-            raise SimulationError(
-                "need 0 < hit_cost <= miss_cost for every request"
-            )
-        per_req = (hit_req, miss_req)
-        miss_max = float(miss_req.max()) if arrivals.size else 0.0
-    else:
-        if hit_cost <= 0 or miss_cost <= 0 or hit_cost > miss_cost:
-            raise SimulationError(
-                f"need 0 < hit_cost <= miss_cost, got {hit_cost}, {miss_cost}"
-            )
-        miss_max = miss_cost
-    n = arrivals.size
-    if n == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return empty, empty.copy()
-
-    idx = np.arange(n)
-    order = np.lexsort((idx, arrivals, servers))
-    s_arr = arrivals[order]
-    s_srv = servers[order]
-    s_addr = addresses[order]
-
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(s_srv[1:], s_srv[:-1], out=seg_start[1:])
-    seg_id = np.cumsum(seg_start) - 1
-    first_of_seg = np.flatnonzero(seg_start)
-
-    # Hit = same address as the previous request in this server's FIFO.
-    hit = np.zeros(n, dtype=bool)
-    np.equal(s_addr[1:], s_addr[:-1], out=hit[1:])
-    hit &= ~seg_start
-    if init_addr is not None:
-        # Segment heads hit iff they match the seeded row buffer.
-        seeds = np.asarray(init_addr)[s_srv[first_of_seg]]
-        hit[first_of_seg] = s_addr[first_of_seg] == seeds
-    if per_req is None:
-        cost = np.where(hit, hit_cost, miss_cost)
-    else:
-        cost = np.where(hit, per_req[0][order], per_req[1][order])
-
-    # Segment-local prefix sums of the costs of *earlier* requests.
-    csum = np.cumsum(cost)
-    csum_prev = np.empty(n)
-    csum_prev[0] = 0.0
-    csum_prev[1:] = csum[:-1]
-    base = csum_prev[first_of_seg][seg_id]
-    gap_prefix = csum_prev - base
-
-    adjusted = s_arr - gap_prefix
-    if init_free is not None:
-        floors = np.asarray(init_free, dtype=np.float64)
-        adjusted[first_of_seg] = np.maximum(
-            adjusted[first_of_seg], floors[s_srv[first_of_seg]]
-        )
-    span = float(adjusted.max() - adjusted.min()) + miss_max + 1.0
-    lifted = adjusted + seg_id * span
-    running = np.maximum.accumulate(lifted) - seg_id * span
-    start_sorted = running + gap_prefix
-
-    start = np.empty(n, dtype=np.float64)
-    start[order] = start_sorted
-    cost_out = np.empty(n, dtype=np.float64)
-    cost_out[order] = cost
-    return start, cost_out
-
-
-def _empty_telemetry(machine: MachineConfig) -> SimTelemetry:
-    """Telemetry for a zero-request batch (all counters zero)."""
-    return SimTelemetry(
-        bank_busy=np.zeros(machine.n_banks, dtype=np.float64),
-        queue_high_water=np.zeros(machine.n_banks, dtype=np.int64),
-        stall_breakdown={
-            "bank_wait": 0.0, "link_wait": 0.0, "issue_backpressure": 0.0,
-        },
-        proc_stalls=None,
-        makespan=0.0,
+def _run(machine: MachineConfig, batch: RequestBatch, banks: np.ndarray,
+         telemetry: bool, sanitize: bool) -> SimResult:
+    """Project and commit one superstep whose bank ids are valid, with
+    real-valued times, the section-link stage when the machine has one,
+    and unbounded queues: no stall certificate, no runaway ceiling
+    (``queue_capacity`` is ignored)."""
+    link = machine.n_sections > 1 and machine.section_gap > 0
+    s = _Setup(
+        p=machine.p, n_banks=machine.n_banks, g=machine.g, d=machine.d,
+        latency=machine.latency, L=machine.L,
+        hit_delay=machine.cache_hit_delay, capacity=None,
+        section_gap=machine.section_gap if link else 0.0,
+        section_banks=machine.banks_per_section if link else 1,
+        max_cycles=math.inf, telemetry=telemetry, sanitize=sanitize,
     )
-
-
-def _queue_high_water(
-    arrival: np.ndarray,
-    start: np.ndarray,
-    banks: np.ndarray,
-    n_banks: int,
-) -> np.ndarray:
-    """Per-bank maximum simultaneous queue depth.
-
-    Each request occupies its bank's queue over ``[arrival, start)``.
-    Depth is sampled just after arrivals (arrivals sort before departures
-    at equal times), matching where the cycle engines measure their
-    high-water mark — a request that starts the cycle it arrives counts.
-    """
-    n = arrival.size
-    times = np.concatenate([arrival, start])
-    delta = np.concatenate([
-        np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)
-    ])
-    bankv = np.concatenate([banks, banks])
-    order = np.lexsort((-delta, times, bankv))
-    s_bank = bankv[order]
-    # Each bank's deltas sum to zero, so a single global cumsum restarts
-    # at zero at every bank boundary — no per-segment offsets needed.
-    depth = np.cumsum(delta[order])
-    seg_first = np.flatnonzero(
-        np.r_[True, s_bank[1:] != s_bank[:-1]]
-    )
-    high = np.zeros(n_banks, dtype=np.int64)
-    high[s_bank[seg_first]] = np.maximum.reduceat(depth, seg_first)
-    return high
+    acc = _new_acc(s)
+    if batch.n:
+        _load(s, batch, banks, machine.combining)
+        (proj,) = _project((s,), (_survivors(batch.issue, banks,
+                                             batch.addresses, s.survives),))
+        _commit(s, acc, proj)
+    return _finish(machine, s, "banksim", acc)
 
 
 def simulate_batch(
@@ -441,7 +90,8 @@ def simulate_batch(
     Applies (in order): combining (if the machine combines same-location
     requests in the network), the optional section-link stage, the bank
     stage (with the bank-cache extension when configured), and folds the
-    machine's ``L`` into the completion time.
+    machine's ``L`` into the completion time.  ``queue_capacity`` is
+    ignored: queues are unbounded.
 
     With ``telemetry=True`` the result carries a :class:`SimTelemetry`
     (per-bank busy cycles, queue high-water marks, stall breakdown);
@@ -455,110 +105,13 @@ def simulate_batch(
     bit-identical either way.
     """
     require_machine(machine, "simulate_batch")
-    do_sanitize = sanitize_enabled(sanitize)
-    n = batch.n
-    if n == 0:
-        result = SimResult(
-            time=float(machine.L),
-            n=0,
-            bank_loads=np.zeros(machine.n_banks, dtype=np.int64),
-            machine_name=machine.name,
-            telemetry=_empty_telemetry(machine) if telemetry else None,
-        )
-        if do_sanitize:
-            check_superstep(
-                machine, result, engine="banksim", h_p=0, n_survivors=0,
-            )
-        return result
     banks = np.asarray(banks)
-    if banks.shape != batch.addresses.shape:
-        raise PatternError("banks must align with batch addresses")
-    if banks.min() < 0 or banks.max() >= machine.n_banks:
-        raise PatternError("bank ids outside [0, n_banks)")
-
-    arrival = batch.issue + machine.latency
-    addresses = batch.addresses
-    issue_floor = float(arrival.max())  # every request must at least issue
-
-    if machine.combining:
-        # Combining networks [Ran91]: one request per distinct location
-        # survives to the memory side (the first in request order); the
-        # rest complete when their representative's response fans back.
-        _, keep = np.unique(addresses, return_index=True)
-        keep.sort()
-        arrival = arrival[keep]
-        banks = banks[keep]
-        addresses = addresses[keep]
-
-    link_wait = 0.0
-    if machine.n_sections > 1 and machine.section_gap > 0:
-        sections = banks // machine.banks_per_section
-        link_start = fifo_service_times(arrival, sections, machine.section_gap)
-        if telemetry:
-            link_wait = float((link_start - arrival).sum())
-        arrival = link_start + machine.section_gap
-
-    if machine.cache_hit_delay is not None:
-        start, cost = fifo_service_times_cached(
-            arrival, banks, addresses, machine.d, machine.cache_hit_delay
-        )
-        finish = start + cost
-    else:
-        start = fifo_service_times(arrival, banks, machine.d)
-        cost = None  # uniform machine.d; materialized only for telemetry
-        finish = start + machine.d
-    waits = start - arrival
-
-    makespan = float(max(finish.max(), issue_floor))
-    tel = None
-    bank_busy = None
-    queue_high_water = None
-    if telemetry or do_sanitize:
-        # Observer counters; under sanitize-only they are checked and
-        # dropped, so the returned result stays bit-identical.
-        per_req_cost = (
-            cost if cost is not None
-            else np.full(arrival.size, float(machine.d))
-        )
-        bank_busy = np.bincount(
-            banks, weights=per_req_cost, minlength=machine.n_banks
-        )
-        queue_high_water = _queue_high_water(
-            arrival, start, banks, machine.n_banks
-        )
-    if telemetry:
-        tel = SimTelemetry(
-            bank_busy=bank_busy,
-            queue_high_water=queue_high_water,
-            stall_breakdown={
-                "bank_wait": float(waits.sum()),
-                "link_wait": link_wait,
-                "issue_backpressure": 0.0,
-            },
-            proc_stalls=None,
-            makespan=makespan,
-        )
-
-    result = SimResult(
-        time=float(makespan + machine.L),
-        n=n,
-        bank_loads=np.bincount(banks, minlength=machine.n_banks).astype(np.int64),
-        max_wait=float(waits.max()),
-        mean_wait=float(waits.mean()),
-        stalled_cycles=0.0,
-        machine_name=machine.name,
-        telemetry=tel,
-    )
-    if do_sanitize:
-        check_superstep(
-            machine, result,
-            engine="banksim",
-            h_p=int(batch.per_processor_counts(machine.p).max()),
-            n_survivors=int(arrival.size),
-            bank_busy=bank_busy,
-            queue_high_water=queue_high_water,
-        )
-    return result
+    if batch.n:
+        if banks.shape != batch.addresses.shape:
+            raise PatternError("banks must align with batch addresses")
+        if banks.min() < 0 or banks.max() >= machine.n_banks:
+            raise PatternError("bank ids outside [0, n_banks)")
+    return _run(machine, batch, banks, telemetry, sanitize_enabled(sanitize))
 
 
 def simulate_scatter(
@@ -594,12 +147,8 @@ def simulate_scatter(
     """
     require_machine(machine, "simulate_scatter")
     batch = RequestBatch.from_addresses(addresses, machine, assignment)
-    if bank_map is None:
-        banks = batch.addresses % machine.n_banks
-    else:
-        banks = np.asarray(bank_map(batch.addresses, machine.n_banks))
-    return simulate_batch(machine, batch, banks, telemetry=telemetry,
-                          sanitize=sanitize)
+    banks = _bank_ids(bank_map, batch.addresses, machine.n_banks)
+    return _run(machine, batch, banks, telemetry, sanitize_enabled(sanitize))
 
 
 def simulate_gather(
@@ -656,7 +205,7 @@ def simulate_scatter_blocked(
     loads = np.zeros(machine.n_banks, dtype=np.int64)
     max_wait = 0.0
     wait_weighted = 0.0
-    tel = _empty_telemetry(machine) if telemetry else None
+    tel: Optional[SimTelemetry] = None
     for lo in range(0, addr.size, superstep_size):
         chunk = addr[lo:lo + superstep_size]
         # Sanitize applies per superstep: each chunk is one superstep,
@@ -667,10 +216,12 @@ def simulate_scatter_blocked(
         loads += res.bank_loads
         max_wait = max(max_wait, res.max_wait)
         wait_weighted += res.mean_wait * res.n
-        if tel is not None:
-            # Busy cycles and waits add across supersteps; the high-water
-            # mark is a max (queues drain at each barrier).
-            step = res.telemetry
+        step = res.telemetry
+        if tel is None:
+            tel = step
+        elif step is not None:
+            # Busy cycles, waits and stalls add across supersteps; the
+            # high-water mark is a max (queues drain at each barrier).
             tel = SimTelemetry(
                 bank_busy=tel.bank_busy + step.bank_busy,
                 queue_high_water=np.maximum(
@@ -680,7 +231,7 @@ def simulate_scatter_blocked(
                     k: tel.stall_breakdown[k] + v
                     for k, v in step.stall_breakdown.items()
                 },
-                proc_stalls=None,
+                proc_stalls=tel.proc_stalls + step.proc_stalls,
                 makespan=tel.makespan + step.makespan,
             )
     return SimResult(

@@ -31,7 +31,7 @@ from numpy.typing import ArrayLike
 from .._util import is_power_of_two
 from ..core.contention import BankMap
 from ..errors import ParameterError, PatternError
-from .banksim import fifo_service_times
+from .cycle_batch import fifo_service_times
 from .machine import MachineConfig
 from .request import Assignment, RequestBatch
 from .stats import SimResult

@@ -17,11 +17,11 @@ Three engines compute the same machine, cycle for cycle:
    every mode (unbounded queues, bounded queues with stall accounting,
    combining, and the bank-cache extension).
 3. **batch** (:mod:`repro.simulator.cycle_batch`) — numpy array stepping:
-   it solves whole stall-free spans with the segmented-cummax kernel of
-   :mod:`repro.simulator.banksim` and hands the run to the same event
-   world only where queue-full back-pressure actually binds (a sound
-   stall certificate decides which, so the results stay bit-identical,
-   not approximately close).
+   it solves whole stall-free spans with the segmented-cummax projector
+   that :mod:`repro.simulator.banksim` also runs on, and hands the run
+   to the same event world only where queue-full back-pressure actually
+   binds (a sound stall certificate decides which, so the results stay
+   bit-identical, not approximately close).
 
 Both serve two purposes in the repo:
 
@@ -34,7 +34,10 @@ Both serve two purposes in the repo:
   unbounded-queue abstraction gives away (DESIGN.md ablation 1).
 
 All machine times (``g``, ``d``, ``latency``, ``L``) must be non-negative
-integers here; the simulated machine advances in whole cycles.
+integers here, and section links are refused; the simulated machine
+advances in whole cycles.  That is validation (:func:`_machine_setup`),
+not arithmetic: the projector itself takes banksim's real-valued times
+and links.
 
 Per-cycle sub-step order (identical in every engine): processors issue
 (in processor-id order), in-flight requests arrive at queues, banks start
@@ -74,27 +77,30 @@ def _require_int(name: str, value: float) -> int:
 
 @dataclass
 class _Setup:
-    """Validated integer machine parameters plus the request arrays,
-    shared by all engines.  The stream keeps one without request arrays
-    that describes the prefix it has consumed."""
+    """Machine parameters plus the request arrays, shared by all
+    engines: real-valued for banksim, whole cycles for the cycle engines
+    (:func:`_machine_setup`).  The stream keeps one
+    without request arrays that describes the prefix it has consumed."""
 
     p: int
     n_banks: int
-    g: int
-    d: int
-    latency: int
-    L: int
-    hit_delay: Optional[int]
+    g: float
+    d: float
+    latency: float
+    L: float
+    hit_delay: Optional[float]
     capacity: Optional[int]
-    n: int
-    max_cycles: int
+    section_gap: float  # 0: no section-link stage
+    section_banks: int  # banks behind one section link
+    n: int = 0
+    max_cycles: float = 0
     telemetry: bool = False
     sanitize: bool = False
-    h_p: int = 0  # max requests issued by one processor
+    h_p: int = 0  # max requests issued by one processor (sanitizer only)
     n_survivors: int = 0  # requests surviving combining to the banks
     batch: Optional[RequestBatch] = None
     banks: Optional[np.ndarray] = None
-    survives: Optional[np.ndarray] = None
+    survives: Optional[np.ndarray] = None  # None: no combining
 
 
 def _new_acc(s: _Setup) -> Acc:
@@ -139,9 +145,28 @@ def _machine_setup(machine: MachineConfig, telemetry: bool = False,
         )
     return _Setup(
         p=machine.p, n_banks=machine.n_banks, g=g, d=d, latency=latency,
-        L=L, hit_delay=hit_delay, capacity=machine.queue_capacity, n=0,
-        max_cycles=0, telemetry=telemetry, sanitize=sanitize,
+        L=L, hit_delay=hit_delay, capacity=machine.queue_capacity,
+        section_gap=0.0, section_banks=1, telemetry=telemetry,
+        sanitize=sanitize,
     )
+
+
+def _load(s: _Setup, batch: RequestBatch, banks: np.ndarray,
+          combining: bool) -> None:
+    """Attach one superstep's requests, banks resolved, to ``s``.
+
+    Combining (when enabled): only the first request per distinct
+    location (in request order) reaches the memory side; the rest are
+    absorbed in the network and complete at issue + latency."""
+    s.n = s.n_survivors = batch.n
+    s.batch, s.banks = batch, banks
+    if combining:
+        _, keep = np.unique(batch.addresses, return_index=True)
+        s.survives = np.zeros(batch.n, dtype=bool)
+        s.survives[keep] = True
+        s.n_survivors = int(keep.size)
+    if s.sanitize:
+        s.h_p = int(batch.per_processor_counts(s.p).max())
 
 
 def _max_cycles(s: _Setup, n: int) -> int:
@@ -165,8 +190,9 @@ def _bank_ids(bank_map: Optional[BankMap], addresses: np.ndarray,
     interleave, or ``bank_map``'s output checked to hold one id in
     ``[0, n_banks)`` per address."""
     if bank_map is None:
-        return (addresses % n_banks).astype(np.int64)
-    banks = np.asarray(bank_map(addresses, n_banks)).astype(np.int64)
+        return (addresses % n_banks).astype(np.int64, copy=False)
+    banks = np.asarray(bank_map(addresses, n_banks)).astype(np.int64,
+                                                             copy=False)
     if banks.shape != addresses.shape:
         raise PatternError("bank_map must return one bank per address")
     if banks.size and (int(banks.min()) < 0
@@ -190,23 +216,10 @@ def _prepare(
     batch = RequestBatch.from_addresses(addresses, machine, assignment)
     if batch.n == 0:
         return s
-    banks = _bank_ids(bank_map, batch.addresses, s.n_banks)
-
-    # Combining (when enabled): only the first request per distinct
-    # location (in request order) reaches the memory side; the rest are
-    # absorbed in the network and complete at issue + latency.
-    survives = np.ones(batch.n, dtype=bool)
-    if machine.combining:
-        _, keep = np.unique(batch.addresses, return_index=True)
-        survives[:] = False
-        survives[keep] = True
-
-    s.n = batch.n
+    _load(s, batch, _bank_ids(bank_map, batch.addresses, s.n_banks),
+          machine.combining)
     s.max_cycles = _max_cycles(s, s.n) if max_cycles is None \
         else max_cycles
-    s.h_p = int(batch.per_processor_counts(machine.p).max())
-    s.n_survivors = int(survives.sum())
-    s.batch, s.banks, s.survives = batch, banks, survives
     return s
 
 

@@ -24,8 +24,8 @@ event) re-checks after each simulated superstep:
    verbatim: no combining, no bank cache, ``d >= g``).
 4. **Stall accounting** — the telemetry counters are conserved: issue
    back-pressure equals ``SimResult.stalled_cycles``, total bank wait
-   equals ``mean_wait`` times the engine's averaging population, and a
-   bank has a nonzero queue high-water mark iff it serviced a request.
+   equals ``mean_wait`` times the requests issued, and a bank has a
+   nonzero queue high-water mark iff it serviced a request.
 
 The sanitizer only *reads* — results with ``sanitize=True`` are
 bit-identical to ``sanitize=False`` (property-tested).  A violation
@@ -114,10 +114,7 @@ def check_superstep(
     Parameters
     ----------
     engine:
-        ``"banksim"``, ``"tick"`` or ``"event"`` — names the engine in
-        errors and selects the engine's ``mean_wait`` population
-        (banksim averages over the requests surviving combining, the
-        cycle engines over all issued requests).
+        The engine's name (``"banksim"``, ``"tick"``, ...), for errors.
     h_p:
         Maximum requests issued by any one processor this superstep.
     n_survivors:
@@ -220,14 +217,13 @@ def check_superstep(
                 f"issue_backpressure {back:g} != stalled_cycles "
                 f"{result.stalled_cycles:g}",
             )
-        wait_pop = n_survivors if engine == "banksim" else result.n
         bank_wait = tel.stall_breakdown.get("bank_wait", 0.0)
-        expected_wait = result.mean_wait * wait_pop
+        expected_wait = result.mean_wait * result.n
         slack = _TOL * max(1.0, abs(bank_wait))
         if abs(bank_wait - expected_wait) > slack:
             _fail(
                 engine, "stall-accounting",
-                f"bank_wait {bank_wait:g} != mean_wait * {wait_pop} = "
+                f"bank_wait {bank_wait:g} != mean_wait * {result.n} = "
                 f"{expected_wait:g}",
             )
         total = tel.total_stalled

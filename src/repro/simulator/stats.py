@@ -18,7 +18,8 @@ class SimTelemetry:
     ``telemetry=True`` (the default leaves :attr:`SimResult.telemetry`
     as ``None`` and costs nothing on the hot path).  Both cycle engines
     and the vectorized bank simulator produce identical telemetry for
-    the same unbounded-queue workload.
+    the same unbounded-queue workload: they all fold the same
+    accumulator.
 
     Attributes
     ----------
@@ -37,8 +38,7 @@ class SimTelemetry:
         (processor issue stalls; only nonzero under bounded queues).
     proc_stalls:
         int64 array: issue stalls accrued by each processor (all zeros
-        for the unbounded model), or ``None`` when the engine does not
-        track processors (the vectorized simulator's issue never stalls).
+        for the unbounded model, whose issue never stalls).
     makespan:
         Cycle at which the last request finished service (excludes the
         superstep overhead ``L``); the denominator for utilization.
@@ -86,7 +86,8 @@ class SimResult:
     max_wait:
         Longest time any request spent queued (start - arrival), cycles.
     mean_wait:
-        Mean queueing time over all requests, cycles.
+        Total bank queueing time divided by ``n``, cycles: under
+        combining, absorbed requests count with zero wait.
     stalled_cycles:
         Total processor stall cycles (only nonzero for the bounded-queue
         cycle simulator; the unbounded model never stalls issue).

@@ -374,7 +374,7 @@ class StreamSimulator:
     def state(self) -> Dict[str, Any]:
         """Complete resumable state as plain picklable structures."""
         return {
-            "version": 2,
+            "version": 3,
             "n": self._s.n,
             "chunk_index": self._chunk_index,
             "last_time": self._last_time,
@@ -396,7 +396,7 @@ class StreamSimulator:
         The simulator must have consumed nothing yet and must have been
         constructed with the same machine/telemetry configuration the
         checkpoint was taken under."""
-        if state.get("version") != 2:
+        if state.get("version") != 3:
             raise ParameterError(
                 f"unsupported stream checkpoint version "
                 f"{state.get('version')!r}"

@@ -97,21 +97,24 @@ class Acc:
     """Result aggregates of one simulation: sums for loads, waits, busy
     cycles and stalls, maxes for the rest.
 
-    Shared by every engine path (event-world runs, committed batch
-    projections, stream chunks) so they fold into one type.  The
+    Shared by every engine path (banksim runs, event-world runs,
+    committed batch projections, stream chunks) so they fold into one
+    type.  Times are whole cycles except on banksim's real-valued
+    machines; only banksim's section links add ``link_wait``.  The
     per-bank/per-processor telemetry arrays exist only when telemetry
     or the sanitizer asked for them."""
 
-    __slots__ = ("bank_served", "total_wait", "max_wait", "stalled",
-                 "last_finish", "completed", "busy", "q_high",
+    __slots__ = ("bank_served", "total_wait", "link_wait", "max_wait",
+                 "stalled", "last_finish", "completed", "busy", "q_high",
                  "proc_stalls")
 
     def __init__(self, n_banks: int, p: int, counters: bool) -> None:
         self.bank_served = np.zeros(n_banks, dtype=np.int64)
-        self.total_wait = 0
-        self.max_wait = 0
+        self.total_wait: float = 0
+        self.link_wait = 0.0
+        self.max_wait: float = 0
         self.stalled = 0
-        self.last_finish = 0
+        self.last_finish: float = 0
         self.completed = 0
         self.busy: Optional[np.ndarray] = (
             np.zeros(n_banks, dtype=np.float64) if counters else None
@@ -152,7 +155,7 @@ class Acc:
                        out=self.q_high)
             self.proc_stalls += np.asarray(proc_stalls, dtype=np.int64)
 
-    def result(self, machine: MachineConfig, n: int, L: int, *,
+    def result(self, machine: MachineConfig, n: int, L: float, *,
                telemetry: bool, sanitize: bool, engine: str, h_p: int,
                n_survivors: int) -> SimResult:
         """Freeze into a :class:`SimResult` for ``n`` requests and, when
@@ -166,7 +169,7 @@ class Acc:
                 queue_high_water=self.q_high.copy(),
                 stall_breakdown={
                     "bank_wait": float(self.total_wait),
-                    "link_wait": 0.0,
+                    "link_wait": float(self.link_wait),
                     "issue_backpressure": float(self.stalled),
                 },
                 proc_stalls=self.proc_stalls.copy(),

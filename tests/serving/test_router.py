@@ -136,6 +136,14 @@ class TestRouteDigest:
         with pytest.raises(ParameterError):
             route_digest(["not", "a", "request"])
 
+    def test_ignores_the_code_version(self, monkeypatch):
+        # Routing keys the question alone: a source edit must not
+        # reshuffle shards or hot-tier slots.
+        from repro.experiments import runner
+        base = route_digest(self.BASE)
+        monkeypatch.setattr(runner, "_code_version", "0" * 16)
+        assert route_digest(self.BASE) == base
+
 
 class TestSharedHotTier:
     def test_put_get_round_trip(self):
@@ -207,6 +215,19 @@ class TestRouterLifecycle:
                 assert resp.error
             assert router.call(REQUESTS[0], timeout=120).ok
 
+    def test_poison_request_kills_no_worker(self):
+        """A request whose admission raises (numpy's MemoryError on a
+        10**12-address pattern) answers its own 500 inside the worker;
+        neither its home shard nor the survivor it would be resubmitted
+        to dies."""
+        poison = {"op": "predict", "machine": "j90",
+                  "pattern": {"kind": "uniform", "n": 10 ** 12}}
+        with ShardRouter(2, **_service_kwargs()) as router:
+            resp = router.call(poison, timeout=120)
+            assert resp.status == "error" and resp.code == 500
+            assert router.live_workers() == 2
+            assert router.call(REQUESTS[0], timeout=120).ok
+
     def test_submit_after_close_answers_closed_503(self):
         router = ShardRouter(2, **_service_kwargs())
         router.close()
@@ -237,7 +258,11 @@ class TestRouterLifecycle:
         try:
             first = router.serve(REQUESTS[:4], timeout=120)
             assert all(r.ok for r in first)
-            victim = router._procs[0]
+            # Kill a shard that answered some of them, whichever way
+            # the digests fell.
+            victim = router._procs[
+                next(i for i, n in enumerate(router.shard_routed()) if n)
+            ]
             victim.terminate()
             victim.join(timeout=30)
             deadline = time.monotonic() + 30

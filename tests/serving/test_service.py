@@ -52,6 +52,21 @@ class TestAdmission:
         assert stats.shed == 1
         assert stats.queue_high_water == 2
 
+    def test_close_does_not_wait_out_the_flush_watermark(self):
+        # A parked request under a one-minute flush watermark and the
+        # default deadline: close() must flush it at once, so it
+        # answers ok rather than 504 a minute later.
+        svc = PredictionService(flush_ms=60_000.0, disk_cache=False)
+        ticket = svc.submit(PREDICT)
+        deadline = time.monotonic() + 5
+        while svc._batcher.pending < 1:
+            assert time.monotonic() < deadline, "request never parked"
+            time.sleep(0.001)
+        t0 = time.monotonic()
+        svc.close()
+        assert time.monotonic() - t0 < 1.0
+        assert ticket.result(timeout=1.0).status == "ok"
+
     def test_deadline_expiry_answers_504(self):
         with PredictionService(batch_size=100, flush_ms=50.0,
                                disk_cache=False) as svc:

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simulator import (
-    simulate_scatter_batch,
     simulate_scatter_cycle,
+    simulate_scatter_engine,
     toy_machine,
 )
 from repro.simulator import cycle_batch
@@ -176,7 +176,7 @@ class TestBatchEntryPoint:
         m = toy_machine(p=4, x=2, d=6, combining=True)
         addr = broadcast(64, 9)
         _assert_identical(
-            simulate_scatter_batch(m, addr),
+            simulate_scatter_engine(m, addr, engine="batch"),
             simulate_scatter_cycle(m, addr, engine="batch"),
         )
 

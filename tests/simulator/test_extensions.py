@@ -134,6 +134,8 @@ class TestExtensionEquivalence:
         slow = simulate_scatter_cycle(m, addr)
         assert fast.time == slow.time
         assert (fast.bank_loads == slow.bank_loads).all()
+        assert fast.max_wait == slow.max_wait
+        assert fast.mean_wait == slow.mean_wait
 
     def test_cycle_requires_integer_hit_delay(self):
         m = toy_machine(d=6).with_(cache_hit_delay=1.5)

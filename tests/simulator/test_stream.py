@@ -345,16 +345,17 @@ class TestDigestAndCheckpoint:
 
     def test_load_state_refuses_version_1(self):
         # Version 2 changed the event world's layout (FIFO in flight,
-        # bank wheel, parked processors): an older checkpoint must be
-        # refused, not misread.
+        # bank wheel, parked processors) and version 3 the accumulator
+        # (link_wait): an older checkpoint must be refused, not misread.
         machine = toy_machine(p=4, x=2, d=6, queue_capacity=2)
         sim = StreamSimulator(machine)
         sim.feed(hotspot(100, 10, 1 << 12, seed=1))
         state = sim.state()
-        assert state["version"] == 2
-        state["version"] = 1
-        with pytest.raises(ParameterError, match="version"):
-            StreamSimulator(machine).load_state(state)
+        assert state["version"] == 3
+        for old in (1, 2):
+            state["version"] = old
+            with pytest.raises(ParameterError, match="version"):
+                StreamSimulator(machine).load_state(state)
 
     def test_resume_misses_on_unknown_prefix(self, _isolated_cache):
         machine = toy_machine()

@@ -308,10 +308,10 @@ def simulate_scatter_cycle(machine, addresses, bank_map=None,
     pass
 """
 
-BATCH_OK = """\
-def simulate_scatter_batch(machine, addresses, bank_map=None,
-                           assignment='round_robin', max_cycles=None,
-                           telemetry=False, sanitize=None):
+GRID_OK = """\
+def simulate_scatter_grid(machine, addresses, bank_map=None,
+                          assignment='round_robin', max_cycles=None,
+                          telemetry=False, sanitize=None):
     pass
 """
 
@@ -326,15 +326,15 @@ def simulate_scatter_engine(machine, addresses, bank_map=None,
 class TestEngineParity:
     BANKSIM = "src/repro/simulator/banksim.py"
     CYCLE = "src/repro/simulator/cycle.py"
-    BATCH = "src/repro/simulator/cycle_batch.py"
+    GRID = "src/repro/simulator/cycle_grid.py"
     DISPATCH = "src/repro/simulator/dispatch.py"
 
-    def _lint(self, banksim_src, cycle_src, batch_src=BATCH_OK,
+    def _lint(self, banksim_src, cycle_src, grid_src=GRID_OK,
               dispatch_src=DISPATCH_OK):
         files = [
             SourceFile(self.BANKSIM, banksim_src),
             SourceFile(self.CYCLE, cycle_src),
-            SourceFile(self.BATCH, batch_src),
+            SourceFile(self.GRID, grid_src),
             SourceFile(self.DISPATCH, dispatch_src),
         ]
         return run_lint(files, select=["REPRO110"])
@@ -366,18 +366,19 @@ class TestEngineParity:
         assert rule_ids(findings) == ["REPRO110"]
 
     def test_flags_batch_engine_drift(self):
-        # The batch engine is held to the same canonical surface.
-        drifted = BATCH_OK.replace("sanitize=None", "sanitize=True")
+        # The batch engine's grid entry point is held to the same
+        # canonical surface.
+        drifted = GRID_OK.replace("sanitize=None", "sanitize=True")
         findings = self._lint(BANKSIM_OK, CYCLE_OK, drifted)
         assert rule_ids(findings) == ["REPRO110"]
         assert "sanitize" in findings[0].message
 
     def test_flags_missing_batch_entry_point(self):
-        drifted = BATCH_OK.replace("def simulate_scatter_batch",
-                                   "def run_scatter_batch")
+        drifted = GRID_OK.replace("def simulate_scatter_grid",
+                                  "def run_scatter_grid")
         findings = self._lint(BANKSIM_OK, CYCLE_OK, drifted)
         assert rule_ids(findings) == ["REPRO110"]
-        assert "simulate_scatter_batch" in findings[0].message
+        assert "simulate_scatter_grid" in findings[0].message
 
     def test_flags_dispatcher_drift(self):
         # The engine dispatcher is a parity entry point like the engines

@@ -41,8 +41,9 @@ echo "== docs freshness =="
 PYTHONPATH=src python tools/gen_api_docs.py --check
 
 echo "== pytest (tier 1) =="
-# The examples smoke tests run as their own step below.
-PYTHONPATH=src python -m pytest -x -q --ignore=tests/test_examples.py
+# The examples smoke tests run as their own step below.  The slowest
+# tests are listed so one that sleeps out a timeout shows in every run.
+PYTHONPATH=src python -m pytest -x -q --durations=15 --ignore=tests/test_examples.py
 
 echo "== examples smoke =="
 PYTHONPATH=src python -m pytest -x -q tests/test_examples.py

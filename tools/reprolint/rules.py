@@ -526,7 +526,6 @@ class EngineParityRule(Rule):
         "simulate_gather": "src/repro/simulator/banksim.py",
         "simulate_scatter_blocked": "src/repro/simulator/banksim.py",
         "simulate_scatter_cycle": "src/repro/simulator/cycle.py",
-        "simulate_scatter_batch": "src/repro/simulator/cycle_batch.py",
         "simulate_scatter_grid": "src/repro/simulator/cycle_grid.py",
         "simulate_scatter_engine": "src/repro/simulator/dispatch.py",
         "simulate_scatter_stream": "src/repro/simulator/stream.py",
