@@ -15,6 +15,7 @@ __all__ = [
     "check_nonnegative",
     "is_power_of_two",
     "next_power_of_two",
+    "sorted_unique",
 ]
 
 
@@ -82,3 +83,15 @@ def next_power_of_two(n: int) -> int:
     if n <= 1:
         return 1
     return 1 << (int(n - 1).bit_length())
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array in ascending order — what
+    ``np.unique(values)`` returns, by one sort and an adjacent-difference
+    mask.  numpy 2.x answers a flagless ``np.unique`` on integers with a
+    hash table and then sorts the (here nearly as large) result, which
+    costs several times the sort alone."""
+    out = np.sort(values)
+    if out.size > 1:
+        out = out[np.r_[True, out[1:] != out[:-1]]]
+    return out

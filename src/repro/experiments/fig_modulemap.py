@@ -21,6 +21,7 @@ import numpy as np
 
 from typing import List
 
+from .._util import sorted_unique
 from ..analysis.report import Series
 from ..core.params import DXBSPParams
 from ..mapping.hashing import RandomMap, linear_hash
@@ -62,7 +63,7 @@ def _trial_draws(rng: np.random.Generator, n: int, n_points: int,
         addresses, map_seeds = [], []
         for _ in range(trials):
             draw = rng.integers(0, np.int64(1) << 60, size=2 * n + 16)
-            addresses.append(np.unique(draw)[:n])
+            addresses.append(sorted_unique(draw)[:n])
             map_seeds.append(int(rng.integers(0, 2**31)))
         per_point.append((addresses, map_seeds))
     return per_point

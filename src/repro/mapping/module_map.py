@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .._util import as_addresses, as_rng
+from .._util import as_addresses, as_rng, sorted_unique
 from ..core.contention import BankMap, bank_loads, max_location_contention
 from ..core.cost import per_processor_load
 from ..core.params import DXBSPParams
@@ -140,7 +140,7 @@ def ratio_vs_expansion(
         for t in range(trials):
             # Distinct-by-construction: sample with slack and deduplicate.
             draw = rng.integers(0, np.int64(1) << 60, size=2 * n + 16)
-            addr = np.unique(draw)[:n]
+            addr = sorted_unique(draw)[:n]
             mapping = mapping_factory(int(rng.integers(0, 2**31)))
             ratios[t] = module_map_ratio(params, addr, mapping)
         mean_r[i] = ratios.mean()

@@ -161,7 +161,12 @@ def _load(s: _Setup, batch: RequestBatch, banks: np.ndarray,
     s.n = s.n_survivors = batch.n
     s.batch, s.banks = batch, banks
     if combining:
-        _, keep = np.unique(batch.addresses, return_index=True)
+        # The first request of a location is the least index in its run
+        # of equal addresses after one (unstable) argsort.
+        order = np.argsort(batch.addresses)
+        ordered = batch.addresses[order]
+        runs = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        keep = np.minimum.reduceat(order, runs) if batch.n else order
         s.survives = np.zeros(batch.n, dtype=bool)
         s.survives[keep] = True
         s.n_survivors = int(keep.size)

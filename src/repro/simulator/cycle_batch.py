@@ -75,6 +75,50 @@ from .world import Acc, runaway_error
 __all__ = ["fifo_service_times", "fifo_service_times_cached"]
 
 
+def _server_top(servers: np.ndarray, width: Optional[int] = None) -> int:
+    """Largest id of a non-empty ``servers`` array, after checking that
+    every id is an integer in ``[0, width)`` (``width=None``: the ids
+    index no seed, so only the lower bound applies)."""
+    if not np.issubdtype(servers.dtype, np.integer):
+        raise PatternError("server ids must be integers")
+    if int(servers.min()) < 0:
+        raise PatternError("server ids must be >= 0")
+    top = int(servers.max())
+    if width is not None and top >= width:
+        raise PatternError("server ids outside the init seed width")
+    return top
+
+
+def _fifo_order(servers: np.ndarray, times: np.ndarray,
+                width: Optional[int] = None) -> np.ndarray:
+    """FIFO service order: requests by server, then time, then input
+    position — exactly the permutation ``np.lexsort((np.arange(n),
+    times, servers))`` returns — after :func:`_server_top`'s id checks.
+
+    Computed least-significant key first, as two stable passes: one on
+    ``times`` (skipped when they are already nondecreasing, as every
+    issue-ordered one-row projection's are) and an LSD radix pass on
+    the ids narrowed to ``uint16``, for which numpy's stable sort is a
+    counting sort.  Ids of 2^16 or more (a lifted grid of over 64 rows
+    of 1,024 banks) take one further pass per 16-bit digit.
+    """
+    if servers.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    top = _server_top(servers, width)
+    order: Optional[np.ndarray] = None
+    if times.size > 1 and not bool((times[1:] >= times[:-1]).all()):
+        order = np.argsort(times, kind="stable")
+    for shift in range(0, top.bit_length() or 1, 16):
+        # astype(uint16) keeps the low 16 bits: one radix digit.
+        key = (servers >> shift if shift else servers).astype(np.uint16)
+        if order is None:
+            order = np.argsort(key, kind="stable")
+        else:
+            order = order[np.argsort(key[order], kind="stable")]
+    assert order is not None
+    return order
+
+
 def _rows_flatten(
     arrivals: np.ndarray,
     servers: np.ndarray,
@@ -87,9 +131,11 @@ def _rows_flatten(
     Returns ``(rows, n, flat_servers, flat_floors, n_srv)``.  Segments
     of different rows can never share a lifted server id, so the 1-D
     segmented-cummax kernel solves every row at once and each row's
-    answer is bit-identical to its own per-row call (the lexsort ties
-    break by flattened position, i.e. row-major input position, which
-    preserves each row's internal order).
+    answer is bit-identical to its own per-row call (:func:`_fifo_order`
+    breaks ties by flattened position, i.e. row-major input position,
+    which preserves each row's internal order).  The ids are checked
+    here, before lifting: a negative id or one past the seed width
+    would lift into a neighbouring row's range.
     """
     if servers.ndim != 2 or arrivals.shape != servers.shape:
         raise PatternError(
@@ -153,7 +199,9 @@ def fifo_service_times(
         separate 1-D calls.
     servers:
         Integer server (bank or section link) id of each request
-        (same shape as ``arrivals``).
+        (same shape as ``arrivals``).  Ids must be non-negative and,
+        with ``init_free``, below its width: a :class:`PatternError`
+        otherwise.
     gap:
         Minimum spacing between consecutive service starts at one server.
         ``gap = 0`` means an unlimited server: start == arrival.  In
@@ -208,16 +256,18 @@ def fifo_service_times(
         gap_max = float(gap)
         if gap < 0:
             raise SimulationError(f"service gap must be >= 0, got {gap}")
+    floors = (None if init_free is None
+              else np.asarray(init_free, dtype=np.float64))
+    width = None if floors is None else floors.size
     if gap_max == 0:
         # All gaps zero: unlimited servers, start == max(arrival, floor).
-        if init_free is not None:
-            return np.maximum(
-                arrivals, np.asarray(init_free, dtype=np.float64)[servers]
-            )
-        return arrivals.copy()
+        _server_top(servers, width)
+        if floors is None:
+            return arrivals.copy()
+        return np.maximum(arrivals, floors[servers])
 
     idx = np.arange(n)
-    order = np.lexsort((idx, arrivals, servers))
+    order = _fifo_order(servers, arrivals, width)
     s_arr = arrivals[order]
     s_srv = servers[order]
 
@@ -234,12 +284,11 @@ def fifo_service_times(
     # keeping the two paths bit-identical).
     step = gap if gaps is None else gaps[order]
     adjusted = s_arr - rank * step
-    if init_free is not None:
+    if floors is not None:
         # Seed each segment head with its server's external floor: the
         # first start becomes max(arrival, floor) (rank 0, so adjusted
         # is the start itself) and the cummax propagates the constraint
         # to the rest of the segment.
-        floors = np.asarray(init_free, dtype=np.float64)
         adjusted[first_of_seg] = np.maximum(
             adjusted[first_of_seg], floors[s_srv[first_of_seg]]
         )
@@ -279,7 +328,8 @@ def fifo_service_times_cached(
     :func:`fifo_service_times`; ``init_addr`` seeds each server's row
     buffer with the address it last serviced (``-1`` = cold buffer;
     addresses are non-negative), so a mid-run re-entry preserves hits
-    across the seam.
+    across the seam.  Server ids must be non-negative and below the
+    width of every seed given (:class:`PatternError` otherwise).
 
     Batched mode mirrors :func:`fifo_service_times`: 2-D ``(rows, n)``
     arrivals/servers/addresses solve one independent grid point per
@@ -352,8 +402,11 @@ def fifo_service_times_cached(
         empty = np.zeros(0, dtype=np.float64)
         return empty, empty.copy()
 
-    idx = np.arange(n)
-    order = np.lexsort((idx, arrivals, servers))
+    floors = (None if init_free is None
+              else np.asarray(init_free, dtype=np.float64))
+    seeds = None if init_addr is None else np.asarray(init_addr)
+    widths = [a.size for a in (floors, seeds) if a is not None]
+    order = _fifo_order(servers, arrivals, min(widths) if widths else None)
     s_arr = arrivals[order]
     s_srv = servers[order]
     s_addr = addresses[order]
@@ -368,10 +421,9 @@ def fifo_service_times_cached(
     hit = np.zeros(n, dtype=bool)
     np.equal(s_addr[1:], s_addr[:-1], out=hit[1:])
     hit &= ~seg_start
-    if init_addr is not None:
+    if seeds is not None:
         # Segment heads hit iff they match the seeded row buffer.
-        seeds = np.asarray(init_addr)[s_srv[first_of_seg]]
-        hit[first_of_seg] = s_addr[first_of_seg] == seeds
+        hit[first_of_seg] = s_addr[first_of_seg] == seeds[s_srv[first_of_seg]]
     if per_req is None:
         cost = np.where(hit, hit_cost, miss_cost)
     else:
@@ -386,8 +438,7 @@ def fifo_service_times_cached(
     gap_prefix = csum_prev - base
 
     adjusted = s_arr - gap_prefix
-    if init_free is not None:
-        floors = np.asarray(init_free, dtype=np.float64)
+    if floors is not None:
         adjusted[first_of_seg] = np.maximum(
             adjusted[first_of_seg], floors[s_srv[first_of_seg]]
         )
@@ -412,8 +463,10 @@ def _queue_high_water(
 
     Each request occupies its bank's queue over ``[arrival, start)``.
     Depth is sampled just after arrivals (arrivals sort before departures
-    at equal times), matching where the cycle engines measure their
-    high-water mark — a request that starts the cycle it arrives counts.
+    at equal times: they come first in the concatenation, and the order
+    breaks ties by position), matching where the cycle engines measure
+    their high-water mark — a request that starts the cycle it arrives
+    counts.
     """
     n = arrival.size
     times = np.concatenate([arrival, start])
@@ -421,7 +474,7 @@ def _queue_high_water(
         np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)
     ])
     bankv = np.concatenate([banks, banks])
-    order = np.lexsort((-delta, times, bankv))
+    order = _fifo_order(bankv, times)
     s_bank = bankv[order]
     # Each bank's deltas sum to zero, so a single global cumsum restarts
     # at zero at every bank boundary — no per-segment offsets needed.
@@ -553,7 +606,7 @@ def _first_stall(s: _Setup, proj: _Proj) -> Optional[int]:
     n = arrival.size
     if s.capacity is None or n == 0:
         return None
-    order = np.lexsort((arrival, banks))
+    order = _fifo_order(banks, arrival)
     s_bank = banks[order]
     s_arr = arrival[order]
     # FIFO start order equals arrival order within a bank, so the same
@@ -564,27 +617,23 @@ def _first_stall(s: _Setup, proj: _Proj) -> Optional[int]:
     seg_start[0] = True
     np.not_equal(s_bank[1:], s_bank[:-1], out=seg_start[1:])
     seg_id = np.cumsum(seg_start) - 1
-    first_of_seg = np.flatnonzero(seg_start)
-    seg_of_bank = np.full(s.n_banks, -1, dtype=np.int64)
-    seg_of_bank[s_bank[first_of_seg]] = np.arange(
-        first_of_seg.size, dtype=np.int64
-    )
 
     # One global searchsorted answers every per-bank rank query: lift
     # each segment above the previous one's value range (start >= the
-    # times queried, so one span covers both sorted arrays).  An issue
-    # at q arrives at q + latency, so q - 1 = arrival - latency - 1.
+    # times queried, so one span covers both sorted arrays).  The
+    # queries go in segment order too, so both searches walk sorted
+    # keys, and each count's offset (its segment's first position)
+    # cancels in the difference.  An issue at q arrives at q + latency,
+    # so q - 1 = arrival - latency - 1.
     span = float(s_start.max()) + 2.0
     lift = seg_id * span
-    qseg = seg_of_bank[banks]
-    query = (arrival - float(s.latency + 1)) + qseg * span
-    base = first_of_seg[qseg]
-    delivered = np.searchsorted(s_arr + lift, query, side="right") - base
-    started = np.searchsorted(s_start + lift, query, side="right") - base
+    query = (s_arr - float(s.latency + 1)) + lift
+    delivered = np.searchsorted(s_arr + lift, query, side="right")
+    started = np.searchsorted(s_start + lift, query, side="right")
     stalls = delivered - started >= s.capacity
     if not stalls.any():
         return None
-    return int(arrival[stalls].min()) - s.latency
+    return int(s_arr[stalls].min()) - s.latency
 
 
 def _commit(

@@ -8,9 +8,10 @@ the stack to the batch engine's own project -> certify -> fall back
 loop, of which ``engine="batch"`` is the one-row call.  Compatible
 points are stacked into 2-D ``(rows, n)`` arrays and pushed through a
 *single* call to the batched segmented-cummax kernels of
-:mod:`repro.simulator.banksim` (rows are lifted into disjoint server-id
-ranges, so one lexsort + one ``np.maximum.accumulate`` solves every
-point at once).
+:mod:`repro.simulator.cycle_batch` (rows are lifted into disjoint
+server-id ranges, so one two-pass order — a stable pass on arrival,
+then a radix pass per 16-bit digit of the lifted ids — and one
+``np.maximum.accumulate`` solve every point at once).
 
 Exactness is certified exactly like the batch engine, but **scoped per
 point**:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._util import as_rng
+from .._util import as_rng, sorted_unique
 from ..errors import ParameterError
 from ..simulator.machine import MachineConfig
 
@@ -46,7 +46,7 @@ def distinct_random(n: int, space: int, seed=None) -> np.ndarray:
     if space <= 4 * n:
         return rng.permutation(space).astype(np.int64)[:n]
     # Sparse space: oversample and deduplicate, then top up deterministically.
-    draw = np.unique(rng.integers(0, space, size=2 * n + 16, dtype=np.int64))
+    draw = sorted_unique(rng.integers(0, space, size=2 * n + 16, dtype=np.int64))
     if draw.size < n:  # astronomically unlikely; fall back to dense prefix
         extra = np.setdiff1d(np.arange(n, dtype=np.int64), draw, assume_unique=False)
         draw = np.concatenate([draw, extra])

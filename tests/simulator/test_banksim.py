@@ -11,6 +11,7 @@ from repro.errors import PatternError, SimulationError
 from repro.simulator import (
     RequestBatch,
     fifo_service_times,
+    fifo_service_times_cached,
     simulate_batch,
     simulate_scatter,
     toy_machine,
@@ -69,6 +70,36 @@ class TestFifoServiceTimes:
     def test_shape_mismatch(self):
         with pytest.raises(PatternError):
             fifo_service_times(np.zeros(2), np.zeros(3, dtype=int), 1)
+
+    @pytest.mark.parametrize("gap", [2.0, 0.0])
+    def test_server_ids_checked(self, gap):
+        # A negative id must not wrap around to the last seed, and an id
+        # past the seed width is a pattern error, as on the batched path.
+        arr = np.array([0.0, 0.0, 1.0])
+        for ids in ([-1, 0, 0], [3, 0, 0]):
+            with pytest.raises(PatternError):
+                fifo_service_times(arr, np.array(ids), gap,
+                                   init_free=np.array([5.0, 0.0]))
+        with pytest.raises(PatternError):
+            fifo_service_times(arr, np.array([0, -1, 0]), gap)
+        with pytest.raises(PatternError):
+            fifo_service_times(arr, np.array([0.0, 1.0, 0.0]), gap)
+
+    def test_cached_server_ids_checked(self):
+        arr = np.array([0.0, 0.0, 1.0])
+        addr = np.array([4, 4, 5])
+        for ids in ([-1, 0, 0], [0, 3, 0]):
+            with pytest.raises(PatternError):
+                fifo_service_times_cached(arr, np.array(ids), addr, 6.0,
+                                          2.0, init_addr=np.array([4, 5]))
+            with pytest.raises(PatternError):
+                fifo_service_times_cached(arr, np.array(ids), addr, 6.0,
+                                          2.0, init_free=np.zeros(2))
+        # The narrower of the two seeds bounds the ids.
+        with pytest.raises(PatternError):
+            fifo_service_times_cached(arr, np.array([0, 2, 0]), addr, 6.0,
+                                      2.0, init_free=np.zeros(3),
+                                      init_addr=np.array([4, 5]))
 
     @given(
         n=st.integers(1, 120),

@@ -228,3 +228,43 @@ class TestBatchOnExperimentGrids:
             batch, event = _both(m, np.asarray(keys), sanitize=True,
                                  telemetry=True)
             _assert_identical(batch, event)
+
+
+class TestFifoOrder:
+    """``_fifo_order`` is the one place that knows the kernels' service
+    order; it must return exactly the permutation of the lexsort it
+    replaces."""
+
+    @staticmethod
+    def _lexsort(ids, times):
+        return np.lexsort((np.arange(ids.size), times, ids))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        n_ids=st.sampled_from([1, 3, 1024, 1 << 16, 1 << 17]),
+        rows=st.integers(1, 80),
+        span=st.sampled_from([1, 4, 1000]),
+        shape=st.sampled_from(["sorted", "unsorted", "real"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_lexsort(self, n, n_ids, rows, span, shape, seed):
+        rng = np.random.default_rng(seed)
+        times = rng.integers(0, span, n).astype(np.float64)  # span 1: all tied
+        if shape == "sorted":
+            times.sort()
+        elif shape == "real":
+            times = times / 3.0
+        # Lift ids the way a stacked grid does, past 2^16 for wide rows.
+        ids = (rng.integers(0, n_ids, n)
+               + rng.integers(0, rows, n) * np.int64(n_ids))
+        order = cycle_batch._fifo_order(ids, times)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, self._lexsort(ids, times))
+
+    def test_ids_of_three_digits(self):
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, 1 << 40, 500)
+        times = rng.integers(0, 3, 500).astype(np.float64)
+        assert np.array_equal(cycle_batch._fifo_order(ids, times),
+                              self._lexsort(ids, times))

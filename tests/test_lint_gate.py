@@ -3,6 +3,9 @@
 Runs the same checks as ``tools/check.sh``: reprolint must be clean,
 and ruff/mypy must pass *when installed* — both are optional in the
 reproduction image, so their absence skips rather than fails.
+Deselected by default (``addopts`` in pyproject.toml): ``check.sh``
+runs these gates itself, and tier-1 keeps the in-process whole-repo
+lint of ``tests/tools/test_reprolint.py``.
 """
 
 import shutil

@@ -12,6 +12,7 @@ from repro._util import (
     check_positive,
     is_power_of_two,
     next_power_of_two,
+    sorted_unique,
 )
 from repro.errors import ParameterError, PatternError
 
@@ -98,3 +99,12 @@ class TestPowersOfTwo:
         assert is_power_of_two(p)
         assert p >= n
         assert p < 2 * n or n == 1
+
+
+class TestSortedUnique:
+    @given(st.lists(st.integers(-5, 40), max_size=60))
+    def test_matches_np_unique(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        out = sorted_unique(arr)
+        assert out.dtype == arr.dtype
+        assert np.array_equal(out, np.unique(arr))

@@ -1,5 +1,7 @@
 """Tests for the synthetic pattern generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,3 +160,30 @@ class TestSectionConfined:
         m = toy_machine().with_(n_sections=2)
         with pytest.raises(ParameterError):
             section_confined(m, 10, 2)
+
+
+#: Digests of fixed-seed patterns.  Every memo key and served answer
+#: depends on seed -> pattern, so a generator change that moves any of
+#: these must be deliberate (and must re-key every cache).
+_GOLDEN = [
+    pytest.param(lambda: hotspot(4096, 16, 1 << 24, seed=7),
+                 "699df5693b3b2c01", id="hotspot-4096"),
+    pytest.param(lambda: hotspot(16384, 1024, 1 << 24, seed=8),
+                 "2d91605885c279f2", id="hotspot-16384"),
+    pytest.param(lambda: hotspot(1000, 10, 2048, seed=9),
+                 "c45fbef94dc4d0f2", id="hotspot-dense"),
+    pytest.param(lambda: distinct_random(5000, 1 << 40, seed=3),
+                 "dba6d512f0997722", id="distinct-sparse"),
+    pytest.param(lambda: distinct_random(1000, 3000, seed=4),
+                 "8a61bd0bbb1b3eed", id="distinct-dense"),
+    pytest.param(lambda: multi_hotspot(4096, 16, 0.5, 1 << 24, seed=5),
+                 "05698a29af59f0a4", id="multi_hotspot-4096"),
+    pytest.param(lambda: multi_hotspot(65536, 8, 0.25, 1 << 24, seed=6),
+                 "a09b8e4a3072d0ee", id="multi_hotspot-65536"),
+]
+
+
+@pytest.mark.parametrize("make, digest", _GOLDEN)
+def test_fixed_seed_patterns_keep_their_digests(make, digest):
+    got = hashlib.sha256(np.asarray(make(), dtype="<i8").tobytes())
+    assert got.hexdigest()[:16] == digest
