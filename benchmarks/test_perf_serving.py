@@ -8,11 +8,11 @@ Three measurements of the serving tier:
   every answer comes from the in-memory LRU; the service must sustain
   >= 1k requests/second, with p50/p95 latency recorded.
 * **Sharded hot path** — the same dashboard workload through a
-  :class:`repro.serving.ShardRouter` with a warmed shared hot tier.
-  The router answers hot questions from one shared-memory slot lookup
-  on the request *digest* — no pattern materialisation, no 8 KB array
-  hash per request — and must beat the single-process hot path by
-  >= 5x even on a single-core host (the win is per-request work, not
+  :class:`repro.serving.ShardRouter` with a warmed answer cache.  The
+  router answers hot questions from its own LRU, keyed by the request
+  *digest* — no pattern materialisation, no 8 KB array hash per
+  request — and must beat the single-process hot path by >= 5x even
+  on a single-core host (the win is per-request work, not
   parallelism).
 * **Occupancy vs latency knee** — distinct (uncacheable) requests
   offered at full speed while the latency watermark sweeps from
@@ -94,14 +94,14 @@ def test_perf_serving(benchmark, save_result):
     # --- sharded hot path --------------------------------------------
     with ShardRouter(WORKERS, batch_size=32, flush_ms=1.0,
                      deadline_ms=None, disk_cache=False) as router:
-        _serve_hot(router, HOT_QUERIES)            # warm the shared tier
+        _serve_hot(router, HOT_QUERIES)            # warm the router's cache
         t0 = time.perf_counter()
         multi_responses = _serve_hot(router, HOT_REQUESTS)
         multi_seconds = time.perf_counter() - t0
         router_stats = router.stats()
 
     assert all(r.cached for r in multi_responses), \
-        "sharded hot path missed the shared tier"
+        "sharded hot path missed the router's cache"
     assert router_stats.hot_hits >= HOT_REQUESTS
     multi_rps = HOT_REQUESTS / multi_seconds
     speedup = multi_rps / rps
@@ -142,7 +142,7 @@ def test_perf_serving(benchmark, save_result):
         f"p50 {p50:.3f} ms   p95 {p95:.3f} ms",
         "",
         f"sharded hot path: same workload, ShardRouter x{WORKERS}, "
-        f"shared tier warm",
+        f"router cache warm",
         f"  throughput {multi_rps:>8.0f} req/s   "
         f"p50 {multi_p50:.3f} ms   p95 {multi_p95:.3f} ms   "
         f"({speedup:.1f}x single-process)",

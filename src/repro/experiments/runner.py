@@ -275,14 +275,17 @@ def code_version() -> str:
     return _code_version
 
 
-def _feed(h: "hashlib._Hash", value: Any) -> None:
+def _feed(h: "hashlib._Hash", value: Any, exact: bool = False) -> None:
     """Feed a canonical byte encoding of ``value`` into hasher ``h``.
 
     Covers everything experiment points pass around: scalars, strings,
     containers, numpy arrays (digested by dtype/shape/contents, so a
     64K-address pattern keys cheaply), and dataclasses such as
     :class:`~repro.simulator.machine.MachineConfig` (encoded field by
-    field — the machine params part of the key).
+    field — the machine params part of the key).  Numbers encode by
+    value, so 3 and 3.0 share a memo entry; ``exact`` keeps integers and
+    floats apart, for a digest of raw requests, which the service
+    validates by type.
     """
     if isinstance(value, np.ndarray):
         h.update(b"nd:")
@@ -294,21 +297,24 @@ def _feed(h: "hashlib._Hash", value: Any) -> None:
         h.update(type(value).__qualname__.encode())
         for f in dataclasses.fields(value):
             h.update(f.name.encode())
-            _feed(h, getattr(value, f.name))
+            _feed(h, getattr(value, f.name), exact)
     elif isinstance(value, dict):
         h.update(b"{:")
         for k in sorted(value, key=repr):
-            _feed(h, k)
-            _feed(h, value[k])
+            _feed(h, k, exact)
+            _feed(h, value[k], exact)
     elif isinstance(value, (list, tuple)):
         # Distinct tags: a list and a tuple of the same items are
         # different kwargs and must not share a memo entry.
         h.update(b"[:" if isinstance(value, list) else b"(:")
         for item in value:
-            _feed(h, item)
+            _feed(h, item, exact)
     elif isinstance(value, (str, bytes, bool, type(None))):
         h.update(repr(value).encode())
     elif isinstance(value, (int, float, np.integer, np.floating)):
+        if exact:
+            h.update(b"i:" if isinstance(value, (int, np.integer))
+                     else b"f:")
         # One representation per numeric value regardless of numpy width.
         try:
             canon: Union[int, float] = (
@@ -431,17 +437,16 @@ _SHM_DIR = Path("/dev/shm")
 _shm_counter = itertools.count()
 
 
-def shm_segment_name(tag: str = "seg") -> str:
+def shm_segment_name() -> str:
     """Fresh shared-memory segment name under this package's prefix.
 
-    Every segment this repo creates — the runner's zero-copy array
-    shipping and the serving tier's shared hot cache — is named through
-    here, so :func:`clear_cache`'s orphan sweep (and a human looking at
-    ``/dev/shm``) covers all of them uniformly.  The name embeds the
-    creating pid and a process-wide counter, so it never collides within
-    a process tree.
+    The runner's zero-copy array shipping names every segment it creates
+    through here, so :func:`clear_cache`'s orphan sweep (and a human
+    looking at ``/dev/shm``) finds them by the prefix.  The name embeds
+    the creating pid and a process-wide counter, so it never collides
+    within a process tree.
     """
-    return f"{_SHM_PREFIX}{tag}_{os.getpid()}_{next(_shm_counter)}"
+    return f"{_SHM_PREFIX}seg_{os.getpid()}_{next(_shm_counter)}"
 
 
 def _sweep_shm() -> int:

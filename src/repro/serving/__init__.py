@@ -18,9 +18,9 @@ windowed backpressure (docs/streaming.md).
 
 Scaling out, :class:`ShardRouter` shards the same service across N
 worker processes by canonical request key — shard-local LRU affinity,
-duplicate collapse, and a :class:`SharedHotTier` result cache in shared
-memory that the workers fill and the router probes — with responses
-bit-identical to one in-process service.  Both keep one :class:`ServingBackend` contract:
+duplicate collapse, and a :class:`SharedHotTier` answer cache in the
+router, filled from the answers every worker sends back — with
+responses bit-identical to one in-process service.  Both keep one :class:`ServingBackend` contract:
 ``submit`` answers every input with a :class:`Ticket`, ``close``
 drains, ``manifest()`` exports the metrics.  :class:`ServingFrontend` is
 the network front end for either backend: one ``selectors`` loop

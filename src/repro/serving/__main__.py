@@ -29,9 +29,9 @@ NDJSON on the same port, per connection)::
 
 ``--workers N`` (N > 1) puts a :class:`repro.serving.ShardRouter` in
 front: N worker processes each hosting a
-:class:`~repro.serving.PredictionService`, sharded by request key over
-a shared-memory hot tier — same responses, multiplied hot-path
-throughput.  Service knobs (``--batch-size``, ``--flush-ms``,
+:class:`~repro.serving.PredictionService`, sharded by request key,
+with the router caching the answers they send back — same responses,
+multiplied hot-path throughput.  Service knobs (``--batch-size``, ``--flush-ms``,
 ``--max-queue``, ``--deadline-ms``, ``--lru``, ``--parallel``,
 ``--no-disk-cache``) map one-to-one onto the per-worker services;
 ``--metrics`` prints the backend's metrics table to stderr on exit and
@@ -174,7 +174,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--deadline-ms", type=float, default=1000.0,
                         help="default per-request deadline (ms)")
     parser.add_argument("--lru", type=int, default=4096,
-                        help="in-memory result cache entries (0 disables)")
+                        help="in-memory answer cache size in points: the "
+                        "service's LRU, and with --workers > 1 each "
+                        "worker's and the router's (0 disables them)")
     parser.add_argument("--parallel", type=int, default=1,
                         help="worker processes per flush (run_grid pool)")
     parser.add_argument("--no-disk-cache", action="store_true",

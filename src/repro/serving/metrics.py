@@ -282,7 +282,9 @@ def metrics_table(backend: Any) -> str:
 # ----------------------------------------------------------------------
 
 #: Router manifest format version; bump on incompatible field changes.
-ROUTER_SCHEMA_VERSION = 1
+#: v2: ``invalid`` (requests the router itself answers 400) and
+#: ``hot_puts`` counted by the router's own answer cache.
+ROUTER_SCHEMA_VERSION = 2
 
 
 @dataclasses.dataclass
@@ -293,9 +295,15 @@ class RouterStats:
     ----------
     received:
         Requests submitted to the router (every outcome counts here).
+    invalid:
+        Requests the router answered ``bad-request`` (400) itself: it
+        validates each one as a worker's service would, before routing.
     hot_hits:
-        Requests the router answered straight from the shared hot tier
+        Requests the router answered straight from its answer cache
         without forwarding to any shard.
+    hot_puts:
+        Answers the router stored in that cache (every ok, non-stream
+        answer no heavier than its capacity).
     routed:
         Requests forwarded to a shard worker (``shard_routed`` in the
         manifest breaks this down per shard).
@@ -314,7 +322,9 @@ class RouterStats:
     """
 
     received: int = 0
+    invalid: int = 0
     hot_hits: int = 0
+    hot_puts: int = 0
     routed: int = 0
     forwarded: int = 0
     rebalanced: int = 0
@@ -336,6 +346,7 @@ ROUTER_MANIFEST_SCHEMA: Dict[str, type] = {
     "code_version": str,
     "workers": int,
     "received": int,
+    "invalid": int,
     "hot_hits": int,
     "routed": int,
     "forwarded": int,
@@ -367,7 +378,6 @@ def router_manifest(router: Any) -> Dict[str, Any]:
         "service": "repro.serving.ShardRouter",
         "code_version": code_version(),
         "workers": int(router.workers),
-        "hot_puts": int(router.hot_puts()),
         "shard_routed": list(router.shard_routed()),
         "shards": list(router.shard_manifests()),
         "p50_ms": percentile(latencies, 50.0),

@@ -62,11 +62,12 @@ through it.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import queue
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,6 +100,12 @@ __all__ = ["PredictionService", "ServingBackend", "evaluate_point"]
 #: Latency ring-buffer length (enough for stable p95 on any bench run
 #: without unbounded growth on a long-lived service).
 _LATENCY_WINDOW = 4096
+
+#: The lowest valid value of each bounded service setting.
+_SETTING_FLOORS = (
+    ("max_queue", 1), ("batch_size", 1), ("flush_ms", 0),
+    ("max_streams", 0), ("stream_window", 1),
+)
 
 
 def evaluate_point(
@@ -346,25 +353,42 @@ class _SlotTicket(Ticket):
 
 
 class _LRU:
-    """Tiny ordered-dict LRU (caller provides locking)."""
+    """Tiny ordered-dict LRU bounded by total weight (caller provides
+    locking).  An entry weighs what :meth:`weight_of` says of its value
+    (1 here); one heavier than the whole capacity is not stored, so
+    capacity 0 stores nothing."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = int(capacity)
-        self._data: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self.weight = 0
+        self._data: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-        return value
+    @staticmethod
+    def weight_of(value: Any) -> int:
+        """What ``value`` counts against the capacity."""
+        return 1
 
-    def put(self, key: str, value: Dict[str, Any]) -> None:
-        if self.capacity <= 0:
-            return
-        self._data[key] = value
+    def get(self, key: Hashable) -> Optional[Any]:
+        entry = self._data.get(key)
+        if entry is None:
+            return None
         self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+        return entry[0]
+
+    def put(self, key: Hashable, value: Any) -> bool:
+        """Store ``value`` as the newest entry, evicting the oldest until
+        the weights fit; ``False`` when it alone outweighs the capacity."""
+        weight = self.weight_of(value)
+        if weight > self.capacity:
+            return False
+        old = self._data.pop(key, None)
+        if old is not None:
+            self.weight -= old[1]
+        self._data[key] = (value, weight)
+        self.weight += weight
+        while self.weight > self.capacity:
+            self.weight -= self._data.popitem(last=False)[1][1]
+        return True
 
     def __len__(self) -> int:
         return len(self._data)
@@ -500,16 +524,10 @@ class PredictionService(ServingBackend):
         max_streams: int = 8,
         stream_window: int = 8,
     ) -> None:
-        if max_queue < 1:
-            raise ParameterError(f"max_queue must be >= 1, got {max_queue}")
-        if max_streams < 0:
-            raise ParameterError(
-                f"max_streams must be >= 0, got {max_streams}"
-            )
-        if stream_window < 1:
-            raise ParameterError(
-                f"stream_window must be >= 1, got {stream_window}"
-            )
+        self.checked_settings(
+            max_queue=max_queue, batch_size=batch_size, flush_ms=flush_ms,
+            max_streams=max_streams, stream_window=stream_window,
+        )
         super().__init__(ServingStats())
         self.max_queue = int(max_queue)
         self.batch_size = int(batch_size)
@@ -547,6 +565,29 @@ class PredictionService(ServingBackend):
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def checked_settings(**settings: Any) -> Dict[str, Any]:
+        """Every setting a service built with ``settings`` would run
+        with, defaults filled in.
+
+        Raises :class:`ParameterError` for a name the service does not
+        take or a value below its range.  It builds nothing, so a caller
+        about to fork services (:class:`~repro.serving.ShardRouter`)
+        checks their settings here while no dispatcher thread runs.
+        """
+        try:
+            bound = inspect.signature(PredictionService).bind(**settings)
+        except TypeError as exc:
+            raise ParameterError(f"bad service setting: {exc}") from None
+        bound.apply_defaults()
+        out = dict(bound.arguments)
+        for name, floor in _SETTING_FLOORS:
+            if out[name] < floor:
+                raise ParameterError(
+                    f"{name} must be >= {floor}, got {out[name]}"
+                )
+        return out
 
     def close(self) -> None:
         """Drain queued work, flush every open batch, stop the

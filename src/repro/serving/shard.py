@@ -1,4 +1,4 @@
-"""Sharded multi-worker serving: router, worker processes, shared hot tier.
+"""Sharded multi-worker serving: router, worker processes, answer cache.
 
 One :class:`~repro.serving.PredictionService` is a single dispatcher
 thread in a single process — its cached hot path tops out in the low
@@ -15,19 +15,14 @@ service *out* without changing what it computes:
   requests always land on the same shard, so each shard's in-memory LRU
   stays hot and duplicate requests collapse onto one evaluation instead
   of N.
-* **A shared hot tier** — :class:`SharedHotTier` is a fixed-size result
-  cache in one ``multiprocessing.shared_memory`` segment (named through
-  :func:`repro.experiments.runner.shm_segment_name`, so
-  ``clear_cache``'s orphan sweep covers it) sitting *over* the runner's
-  on-disk memo: a result any shard has served once is readable by the
-  router as one slot lookup plus one small unpickle, with no pipe
-  crossing, no disk probe and no re-deserialization per shard.  The
-  router probes it once per request; the workers only fill it (a
-  request reaches a worker because the router just missed, so a second
-  probe there would almost never hit).  Writers serialize on a
-  cross-process lock; readers are lock-free behind a per-slot sequence
-  counter (torn reads are detected and treated as misses — it is a
-  cache, a miss is always correct).
+* **The router's answer cache** — every answer crosses the router on
+  its way back from a worker, so the router keeps the ok ones in
+  :class:`SharedHotTier`, an in-process LRU keyed by the same digest
+  and sized like one worker's LRU (``lru_size`` points).  A question
+  any shard has answered is replayed there without crossing a pipe,
+  resolving a pattern or probing the disk.  The router validates each
+  request exactly as a worker would before it probes, so the cache
+  never answers a request the service would refuse.
 * **Fault tolerance** — a worker that dies takes only its in-flight
   requests on a detour: the router re-routes them (and all later
   requests for that shard) to the surviving shards and counts the
@@ -36,15 +31,15 @@ service *out* without changing what it computes:
   identity alone (the ``stream_id``), so every chunk of a stream
   reaches the shard holding its
   :class:`~repro.simulator.stream.StreamSimulator` state, and they
-  bypass the hot tier on both sides (a chunk's answer is positional,
-  never replayable).  A worker death mid-stream drops the session:
+  bypass the answer cache (a chunk's answer is positional, never
+  replayable).  A worker death mid-stream drops the session:
   rerouted chunks are answered ``bad-request`` with a reopen hint, the
   router itself stays up (docs/streaming.md).
 
 Responses are **bit-identical** to a single-process service for any
 request mix — every evaluation still happens inside a stock
 ``PredictionService`` via :func:`~repro.serving.service.evaluate_point`,
-and the hot tier only replays payloads such a service produced
+and the cache only replays answers such a service produced
 (property-tested across worker counts in
 ``tests/serving/test_router.py``).  Serving metadata (``latency_ms``,
 ``batch``, ``cached``) reflects each deployment's own timing, exactly
@@ -55,16 +50,14 @@ bulk-synchronous pseudo-streaming (PAPERS.md, arXiv 1608.07200): the
 router never buffers unboundedly (each worker's admission queue is the
 bound, and shedding happens there), and :meth:`ShardRouter.close`
 drains in order — stop admitting, let every shard flush its open
-micro-batches, collect the per-shard manifests, then tear the tier
-down.
+micro-batches, then collect the per-shard manifests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
-import pickle
-import struct
 import threading
 import time
 from multiprocessing import connection, get_all_start_methods, get_context
@@ -72,17 +65,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ParameterError
 from ..experiments import runner
-from ..experiments.common import DEFAULT_SEED
 from .metrics import RouterStats, router_manifest
 from .request import (
-    STATUS_CODES,
     ServeRequest,
     ServeResponse,
     Ticket,
     failure_response,
+    request_from_dict,
     request_id_of,
 )
-from .service import PredictionService, ServingBackend
+from .service import PredictionService, ServingBackend, _LRU
 
 __all__ = [
     "SharedHotTier",
@@ -90,45 +82,39 @@ __all__ = [
     "route_digest",
 ]
 
-#: Payload bytes per hot-tier slot: room for any single-point answer
-#: and for sweeps of up to about 90 rows; a bigger payload is simply
-#: not cached (the slower tiers still answer it).
-_HOT_SLOT_BYTES = 8192
-
 #: Requests per pipe message: bulk submissions are forwarded in chunks
 #: of this many, so pipe overhead is amortized without head-of-line
 #: blocking a whole burst behind one giant pickle.
 _SEND_CHUNK = 256
 
+
+def _with_defaults(*names: str) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, ServeRequest default)`` for each named request field."""
+    defaults = {f.name: f.default for f in dataclasses.fields(ServeRequest)}
+    return tuple((name, defaults[name]) for name in names)
+
+
 #: The result-determining request fields and their dataclass defaults —
 #: everything :func:`route_digest` covers.  ``request_id`` and
 #: ``deadline_ms`` are deliberately absent: they change the envelope,
 #: never the answer.
-_ROUTE_FIELDS: Tuple[Tuple[str, Any], ...] = (
-    ("op", "compare"),
-    ("machine", "j90"),
-    ("pattern", None),
-    ("addresses", None),
-    ("engine", "banksim"),
-    ("bank_map", "interleave"),
-    ("map_seed", DEFAULT_SEED),
-    ("sweep", None),
+_ROUTE_FIELDS = _with_defaults(
+    "op", "machine", "pattern", "addresses", "engine", "bank_map",
+    "map_seed", "sweep",
 )
 
-#: Version tag of the routing/hot-tier key encoding; bump on any change
-#: to ``_ROUTE_FIELDS`` or the payload layout.  v2: stream requests
-#: route by session identity alone.  v3: no code-version stamp.
-_ROUTE_VERSION = 3
+#: Version tag of the routing/answer-cache key encoding; bump on any
+#: change to ``_ROUTE_FIELDS`` or the encoding.  v2: stream requests
+#: route by session identity alone.  v3: no code-version stamp.  v4:
+#: integers and floats digest apart.
+_ROUTE_VERSION = 4
 
 #: What routes a stream request: the session, nothing else.  Every
 #: ``open``/``chunk``/``close`` of one session must land on the same
 #: shard (the session state lives there), and chunks must route
 #: identically whatever payload they carry — so ``action``, ``pattern``
 #: and ``addresses`` are all deliberately absent.
-_STREAM_ROUTE_FIELDS: Tuple[Tuple[str, Any], ...] = (
-    ("op", "compare"),
-    ("stream_id", None),
-)
+_STREAM_ROUTE_FIELDS = _with_defaults("op", "stream_id")
 
 
 def _is_stream(request: Union[ServeRequest, Dict[str, Any]]) -> bool:
@@ -143,19 +129,19 @@ def route_digest(request: Union[ServeRequest, Dict[str, Any]]) -> bytes:
 
     Two requests with the same digest ask the same question (same op,
     machine, pattern/addresses, engine, bank map, seed, sweep), so the
-    router sends them to the same shard and the hot tier may answer one
-    with the other's result.  Envelope fields (``request_id``,
+    router sends them to the same shard and its answer cache may answer
+    one with the other's result.  Envelope fields (``request_id``,
     ``deadline_ms``) are excluded.  Stream requests digest by session
     identity only (:data:`_STREAM_ROUTE_FIELDS`): a session's chunks
     must all reach the shard holding its state, and their answers are
-    never hot-tier material — a chunk's result depends on everything
-    fed before it, not on the request alone.  Built on the runner's
-    canonical argument encoder.  It depends on the question alone, not
-    on the code version: the hot tier lives for one router generation
-    (created in :class:`ShardRouter`, unlinked at ``close()``), so no
-    entry outlives the code that computed it, and a source edit does
-    not reshuffle shards.  The disk memo keeps its own code-version
-    stamp.
+    never cached — a chunk's result depends on everything fed before
+    it, not on the request alone.  Built on the runner's canonical
+    argument encoder, with integers and floats kept apart: the service
+    refuses ``n: 1024.0`` and answers ``n: 1024``.  It depends on the
+    question alone, not on the code version: the answer cache lives for
+    one router generation, so no entry outlives the code that computed
+    it, and a source edit does not reshuffle shards.  The disk memo
+    keeps its own code-version stamp.
     """
     spec = _STREAM_ROUTE_FIELDS if _is_stream(request) else _ROUTE_FIELDS
     if isinstance(request, ServeRequest):
@@ -169,201 +155,47 @@ def route_digest(request: Union[ServeRequest, Dict[str, Any]]) -> bytes:
         )
     h = hashlib.sha256()
     h.update(f"route{_ROUTE_VERSION}:".encode())
-    runner._feed(h, fields)
+    runner._feed(h, fields, exact=True)
     return h.digest()[:16]
 
 
-class SharedHotTier:
-    """Cross-process result cache in one shared-memory segment.
+class SharedHotTier(_LRU):
+    """The router's in-process answer cache, one over every shard.
 
-    A fixed array of ``slots`` slots, each holding one pickled payload
-    of at most ``slot_bytes`` bytes under a 16-byte key (a
-    :func:`route_digest`).  Direct-mapped: a key owns exactly one slot
-    (``int(key) % slots``) and a colliding insert simply overwrites —
-    this is a hot *tier* over the on-disk memo, not a store, so
-    eviction-by-collision is free and always correct.
-
-    Concurrency: one cross-process ``Lock`` serializes writers; readers
-    take no lock at all.  Each slot carries a sequence counter bumped to
-    odd before a write and back to even after it (a seqlock) — a reader
-    that sees an odd count or a count change across its copy treats the
-    slot as a miss.  Payloads are copied out of the segment *before*
-    unpickling, so a torn read can never reach ``pickle``.
-
-    The segment is named by
-    :func:`repro.experiments.runner.shm_segment_name`, which keeps it
-    inside the package's ``/dev/shm`` namespace: a crashed process tree
-    leaves a segment that ``clear_cache`` sweeps like any other orphan.
+    It holds ok responses under their :func:`route_digest`.  It is the
+    workers' LRU, weighing a response by its points (a sweep's rows,
+    else 1): with a capacity of ``lru_size`` it holds at most as many
+    points as one worker's LRU, and an answer heavier than the whole
+    capacity is not stored.  It is a subclass so that tracing its
+    ``get`` and ``put`` leaves the workers' LRU untraced.  The caller
+    provides locking.
     """
 
-    #: Per-slot header: sequence counter, payload length, 16-byte key.
-    _HDR = struct.Struct("<II16s")
-
-    def __init__(
-        self,
-        slots: int = 1024,
-        slot_bytes: int = 8192,
-        *,
-        name: Optional[str] = None,
-        lock: Optional[Any] = None,
-        create: bool = True,
-    ) -> None:
-        if slots < 1:
-            raise ParameterError(f"slots must be >= 1, got {slots}")
-        if slot_bytes < 1:
-            raise ParameterError(
-                f"slot_bytes must be >= 1, got {slot_bytes}"
-            )
-        from multiprocessing import shared_memory
-
-        self.slots = int(slots)
-        self.slot_bytes = int(slot_bytes)
-        self._slot_size = self._HDR.size + self.slot_bytes
-        self._lock = lock if lock is not None else get_context().Lock()
-        if create:
-            # Freshly created POSIX shm is zero-filled: every slot reads
-            # as (seq=0, length=0) — an empty cache, no init pass needed.
-            self._seg = shared_memory.SharedMemory(
-                name=name if name is not None
-                else runner.shm_segment_name("hot"),
-                create=True,
-                size=self.slots * self._slot_size,
-            )
-        else:
-            if name is None:
-                raise ParameterError("attaching needs the segment name")
-            self._seg = shared_memory.SharedMemory(name=name)
-        self.name = self._seg.name
-        self._owner = bool(create)
-        # Per-process observability; aggregated by the router manifest.
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.skipped = 0
-
-    @classmethod
-    def attach(cls, name: str, slots: int, slot_bytes: int,
-               lock: Any) -> "SharedHotTier":
-        """Attach to an existing tier (worker side of the router)."""
-        return cls(slots, slot_bytes, name=name, lock=lock, create=False)
-
-    def _offset(self, key: bytes) -> int:
-        return (int.from_bytes(key[:8], "big") % self.slots) \
-            * self._slot_size
-
-    def get(self, key: bytes) -> Optional[Any]:
-        """Payload stored under ``key``, or ``None`` (miss).  Lock-free;
-        concurrent writes are detected via the slot seqlock and read as
-        misses."""
-        off = self._offset(key)
-        buf = self._seg.buf
-        seq1, length, stored = self._HDR.unpack_from(buf, off)
-        if (
-            seq1 & 1
-            or length == 0
-            or length > self.slot_bytes
-            or stored != key
-        ):
-            self.misses += 1
-            return None
-        start = off + self._HDR.size
-        payload = bytes(buf[start:start + length])
-        seq2 = struct.unpack_from("<I", buf, off)[0]
-        if seq2 != seq1:
-            self.misses += 1
-            return None
-        try:
-            value = pickle.loads(payload)
-        except Exception:  # reprolint: disable=REPRO111 -- a cache can always answer miss; an undecodable slot must never crash a reader
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value
-
-    def put(self, key: bytes, value: Any) -> bool:
-        """Store ``value`` under ``key``; ``False`` when it exceeds the
-        slot size (too big to cache — callers fall through to the slower
-        tiers, which is always correct)."""
-        payload = pickle.dumps(value, protocol=4)
-        if len(payload) > self.slot_bytes:
-            self.skipped += 1
-            return False
-        off = self._offset(key)
-        buf = self._seg.buf
-        with self._lock:
-            seq = struct.unpack_from("<I", buf, off)[0]
-            begin = ((seq + 1) | 1) & 0xFFFFFFFF   # odd: write in progress
-            struct.pack_into("<I", buf, off, begin)
-            self._HDR.pack_into(buf, off, begin, len(payload), key)
-            start = off + self._HDR.size
-            buf[start:start + len(payload)] = payload
-            struct.pack_into("<I", buf, off, (begin + 1) & 0xFFFFFFFF)
-        self.puts += 1
-        return True
-
-    def stats(self) -> Dict[str, int]:
-        """This process's tier counters (hits/misses/puts/skipped)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "skipped": self.skipped,
-        }
-
-    def close(self) -> None:
-        """Detach; the creating side also unlinks the segment.
-        Idempotent and best-effort, like every shm teardown here."""
-        seg, self._seg = getattr(self, "_seg", None), None
-        if seg is None:
-            return
-        try:
-            seg.close()
-            if self._owner:
-                seg.unlink()
-        except (OSError, BufferError):  # reprolint: disable=REPRO112 -- teardown is best-effort; clear_cache sweeps leftovers
-            pass
-
-
-def _payload_of(response: ServeResponse) -> Dict[str, Any]:
-    """The hot-tier payload for one ``ok`` response: the answer fields
-    only — envelope fields (request id, latency, batch, cache flag) are
-    re-stamped per request at replay time."""
-    return {
-        "status": response.status,
-        "op": response.op,
-        "engine": response.engine,
-        "machine": response.machine,
-        "result": response.result,
-    }
+    @staticmethod
+    def weight_of(value: Any) -> int:
+        """A response's points: its sweep rows, else 1."""
+        rows = value.result.get("rows")
+        return 1 if rows is None else len(rows)
 
 
 def _worker_main(
     conn: "connection.Connection",
     shard: int,
-    tier_name: Optional[str],
-    tier_slots: int,
-    tier_lock: Any,
     service_kwargs: Dict[str, Any],
 ) -> None:
     """One shard worker: a stock :class:`PredictionService` behind a pipe.
 
-    Protocol (parent -> worker): ``("batch", [(seq, digest, request),
-    ...])`` messages and one final ``("close",)``.  Worker -> parent:
+    Protocol (parent -> worker): ``("batch", [(seq, request), ...])``
+    messages and one final ``("close",)``.  Worker -> parent:
     ``("done", [(seq, response_dict), ...])`` messages and one final
-    ``("bye", manifest)`` carrying the shard's serving manifest plus its
-    hot-tier counters.  The worker drains greedily — every message
-    already queued on the pipe joins the current round, so compatible
-    requests across messages share micro-batches — and answers
-    everything it received before honouring ``close``, which is what
-    gives the router its in-order drain.  It only ``put``s into the hot
-    tier: the router probed it for each of these requests and missed.
+    ``("bye", manifest)`` carrying the shard's serving manifest.  The
+    worker drains greedily — every message already queued on the pipe
+    joins the current round, so compatible requests across messages
+    share micro-batches — and answers everything it received before
+    honouring ``close``, which is what gives the router its in-order
+    drain.
     """
     service = PredictionService(**service_kwargs)
-    tier = (
-        SharedHotTier.attach(tier_name, tier_slots, _HOT_SLOT_BYTES,
-                             tier_lock)
-        if tier_name is not None else None
-    )
     closing = False
     try:
         while not closing:
@@ -373,7 +205,7 @@ def _worker_main(
                     msgs.append(conn.recv())
             except (EOFError, OSError):
                 break  # parent died; drain what we have and exit
-            entries: List[Tuple[int, bytes, Any]] = []
+            entries: List[Tuple[int, Any]] = []
             for msg in msgs:
                 if msg[0] == "close":
                     closing = True
@@ -382,28 +214,16 @@ def _worker_main(
             # Everything is submitted before anything is waited on, so
             # compatible requests share flushes.
             tickets = [
-                (seq, digest, service.submit(request))
-                for seq, digest, request in entries
+                (seq, service.submit(request)) for seq, request in entries
             ]
-            done = []
-            for seq, digest, ticket in tickets:
-                response = ticket.result()
-                # Stream steps never enter the tier: their digest is the
-                # session, not the question, and their answers are
-                # positional — replaying one would answer the wrong
-                # prefix.
-                if tier is not None and response.ok \
-                        and response.engine != "stream":
-                    tier.put(digest, _payload_of(response))
-                done.append((seq, response.to_dict()))
+            done = [
+                (seq, ticket.result().to_dict()) for seq, ticket in tickets
+            ]
             if done:
                 conn.send(("done", done))
     finally:
         service.close()
         manifest = dict(service.manifest(), shard=shard)
-        if tier is not None:
-            manifest.update(hot_puts=tier.puts, hot_skipped=tier.skipped)
-            tier.close()
         try:
             conn.send(("bye", manifest))
             conn.close()
@@ -418,10 +238,10 @@ class ShardRouter(ServingBackend):
     :class:`PredictionService` built from ``**service_kwargs`` (the
     same knobs as the single-process service), and routes every request
     by :func:`route_digest` — identical questions always reach the same
-    shard.  The router probes a :class:`SharedHotTier` once per request
-    before forwarding, and the workers fill it, so a question *any*
-    shard has answered is replayed from shared memory without crossing
-    a pipe at all.
+    shard.  Every answer comes back through the router, which keeps the
+    ok ones in its :class:`SharedHotTier` and probes that once per
+    valid request before forwarding, so a question *any* shard has
+    answered is replayed without crossing a pipe at all.
 
     It keeps the :class:`~repro.serving.service.ServingBackend`
     contract, so the CLI and the front end drive it and the
@@ -432,22 +252,16 @@ class ShardRouter(ServingBackend):
     workers:
         Shard count (>= 1).  Each worker is one process with one
         dispatcher thread.
-    hot_tier_slots:
-        Shared hot-tier slots; ``0`` disables the tier entirely (every
-        request crosses a pipe).
     service_kwargs:
-        Forwarded verbatim to each worker's ``PredictionService``.
+        Each worker's ``PredictionService`` settings, checked here
+        before any fork.  ``lru_size`` also sizes the router's answer
+        cache, in points; ``0`` turns off both.
     """
 
-    def __init__(
-        self,
-        workers: int = 2,
-        *,
-        hot_tier_slots: int = 1024,
-        **service_kwargs: Any,
-    ) -> None:
+    def __init__(self, workers: int = 2, **service_kwargs: Any) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
+        settings = PredictionService.checked_settings(**service_kwargs)
         super().__init__(RouterStats())
         self.workers = int(workers)
         # Fork keeps worker start-up cheap (no re-import of the
@@ -455,15 +269,7 @@ class ShardRouter(ServingBackend):
         ctx = get_context(
             "fork" if "fork" in get_all_start_methods() else None
         )
-        self._tier: Optional[SharedHotTier] = None
-        tier_name = None
-        tier_lock = None
-        if hot_tier_slots > 0:
-            tier_lock = ctx.Lock()
-            self._tier = SharedHotTier(
-                hot_tier_slots, _HOT_SLOT_BYTES, lock=tier_lock
-            )
-            tier_name = self._tier.name
+        self._tier = SharedHotTier(settings["lru_size"])
         self._seq = itertools.count()
         #: seq -> (ticket, digest, request, shard); the rebalance map.
         self._pending: Dict[int, Tuple[Ticket, bytes, Any, int]] = {}
@@ -479,8 +285,7 @@ class ShardRouter(ServingBackend):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, shard, tier_name, hot_tier_slots,
-                      tier_lock, dict(service_kwargs)),
+                args=(child_conn, shard, settings),
                 name=f"repro-serving-shard-{shard}",
                 daemon=True,
             )
@@ -506,7 +311,7 @@ class ShardRouter(ServingBackend):
 
     def submit(self, request: Any) -> Ticket:
         """Route one request; returns a :class:`Ticket` immediately
-        (already resolved on a hot-tier hit or a bad request)."""
+        (already resolved on a cache hit or a bad request)."""
         return self._submit_many([request])[0]
 
     def serve(
@@ -540,21 +345,13 @@ class ShardRouter(ServingBackend):
         with self._lock:
             return [m for m in self._manifests if m is not None]
 
-    def hot_puts(self) -> int:
-        """Hot-tier inserts across all workers (known after drain)."""
-        with self._lock:
-            return sum(
-                int(m.get("hot_puts", 0))
-                for m in self._manifests if m is not None
-            )
-
     def close(self) -> None:
-        """Drain every shard in order, then tear the tier down.
+        """Drain every shard in order.
 
         Stop admitting (new submits answer ``closed``/503) -> send each
         live worker the close sentinel (it answers everything already
         on its pipe, drains its service, reports its manifest) -> join
-        readers and processes -> unlink the hot tier.  Idempotent."""
+        readers and processes.  Idempotent."""
         with self._lock:
             if self._closing:
                 return
@@ -584,8 +381,6 @@ class ShardRouter(ServingBackend):
             self._pending.clear()
         for ticket, _digest, request, _shard in leftovers:
             self._fail(ticket, request, "closed", "router closed")
-        if self._tier is not None:
-            self._tier.close()
 
     # ------------------------------------------------------------------
     # routing
@@ -625,28 +420,43 @@ class ShardRouter(ServingBackend):
             if closing:
                 self._fail(ticket, request, "closed", "router closed")
                 continue
+            # Validated as a worker's service would, so the cache never
+            # answers a request the service refuses.
             try:
-                digest = route_digest(request)
-            except ParameterError as exc:  # not a request at all
+                if isinstance(request, ServeRequest):
+                    request.validate()
+                    req = request
+                else:
+                    req = request_from_dict(request)
+                digest = route_digest(req)
+            except ParameterError as exc:
+                with self._lock:
+                    self._stats.invalid += 1
                 ticket._resolve(
                     failure_response(request, "bad-request", str(exc))
                 )
                 continue
-            if self._tier is not None and not _is_stream(request):
-                payload = self._tier.get(digest)
-                if payload is not None:
-                    latency = (time.monotonic() - ticket.t_submit) * 1000.0
-                    with self._lock:
+            except Exception as exc:  # reprolint: disable=REPRO111 -- as in the service, whatever admitting one request raises is that request's 500, never the caller's
+                self._fail(ticket, request, "error",
+                           f"admission failed: {exc}")
+                continue
+            if req.op != "stream":
+                with self._lock:
+                    hit = self._tier.get(digest)
+                    if hit is not None:
                         self._stats.hot_hits += 1
+                        latency = \
+                            (time.monotonic() - ticket.t_submit) * 1000.0
                         self._latencies.append(latency)
-                    # The payload is the answer; the envelope is this
+                if hit is not None:
+                    # The answer is the cached one; the envelope is this
                     # request's own.
-                    ticket._resolve(ServeResponse(
-                        code=STATUS_CODES[payload["status"]],
-                        request_id=ticket.request_id, cached=True,
-                        latency_ms=latency, **payload,
+                    ticket._resolve(dataclasses.replace(
+                        hit, request_id=req.request_id, cached=True,
+                        batch=0, latency_ms=latency,
                     ))
                     continue
+            # Forwarded as received: the worker validates it again.
             forwards.append((ticket, digest, request))
         if forwards:
             self._dispatch(forwards)
@@ -656,7 +466,7 @@ class ShardRouter(ServingBackend):
         self, entries: Sequence[Tuple[Ticket, bytes, Any]]
     ) -> None:
         """Forward entries to their shards in chunked pipe messages."""
-        by_shard: Dict[int, List[Tuple[int, bytes, Any]]] = {}
+        by_shard: Dict[int, List[Tuple[int, Any]]] = {}
         dead: List[Tuple[Ticket, Any]] = []
         closed: List[Tuple[Ticket, Any]] = []
         with self._lock:
@@ -679,9 +489,7 @@ class ShardRouter(ServingBackend):
                     self._pending[seq] = (ticket, digest, request, shard)
                     self._stats.routed += 1
                     self._shard_routed[shard] += 1
-                    by_shard.setdefault(shard, []).append(
-                        (seq, digest, request)
-                    )
+                    by_shard.setdefault(shard, []).append((seq, request))
         for ticket, request in closed:
             self._fail(ticket, request, "closed", "router closed")
         for ticket, request in dead:
@@ -719,12 +527,18 @@ class ShardRouter(ServingBackend):
                         entry = self._pending.pop(seq, None)
                     if entry is None:
                         continue
-                    ticket = entry[0]
-                    latency = (now - ticket.t_submit) * 1000.0
-                    resp_dict = dict(resp_dict, latency_ms=latency)
+                    ticket, digest = entry[0], entry[1]
+                    response = ServeResponse(**dict(
+                        resp_dict, latency_ms=(now - ticket.t_submit) * 1000.0
+                    ))
+                    # Cached before the ticket resolves, so a caller's
+                    # next request for the same question hits.
                     with self._lock:
-                        self._latencies.append(latency)
-                    ticket._resolve(ServeResponse(**resp_dict))
+                        self._latencies.append(response.latency_ms)
+                        if response.ok and response.engine != "stream" \
+                                and self._tier.put(digest, response):
+                            self._stats.hot_puts += 1
+                    ticket._resolve(response)
             elif msg[0] == "bye":
                 with self._lock:
                     self._manifests[shard] = msg[1]

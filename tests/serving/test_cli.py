@@ -94,9 +94,11 @@ def test_ndjson_subprocess_sharded(tmp_path, isolated_cache):
     assert manifest["workers"] == 2
     assert manifest["received"] == 5
     assert len(manifest["shards"]) == 2
-    # every request was answered by exactly one shard
+    # every request was answered exactly once: the router refused the
+    # three bad lines itself, a shard or the router's cache the rest
+    assert manifest["invalid"] == 3
     assert sum(s["received"] for s in manifest["shards"]) \
-        + manifest["hot_hits"] == 5
+        + manifest["hot_hits"] + manifest["invalid"] == 5
 
 
 @pytest.fixture()

@@ -1,5 +1,6 @@
-"""Sharded router tests: bit-identity across shard counts, the shared
-hot tier, request-key routing, worker-death rebalance, drain semantics.
+"""Sharded router tests: bit-identity across shard counts, the router's
+answer cache, request-key routing, worker-death rebalance, drain
+semantics.
 
 The load-bearing property is the first one: a :class:`ShardRouter` with
 any worker count answers a mixed request stream *byte-identically* to
@@ -9,8 +10,11 @@ single-process bit-identity tests already treat LRU hits), and leaves
 the same entries in the on-disk memo cache.
 """
 
+import dataclasses
 import json
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,9 +23,11 @@ from repro.serving import (
     PredictionService,
     Ticket,
     ServeRequest,
+    ServeResponse,
     ShardRouter,
     SharedHotTier,
     route_digest,
+    shard,
 )
 from repro.serving.metrics import router_manifest
 
@@ -131,6 +137,24 @@ class TestRouteDigest:
             {**self.BASE, "pattern": {"kind": "hotspot", "n": N, "k": 4}}
         )
         assert base != route_digest({**self.BASE, "op": "compare"})
+        # the service refuses n=1024.0 and answers n=1024
+        assert base != route_digest(
+            {**self.BASE, "pattern": {"kind": "hotspot", "n": float(N),
+                                      "k": 16}}
+        )
+
+    def test_omitted_fields_digest_as_the_dataclass_defaults(self):
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(ServeRequest)
+        }
+        stream = {"op": "stream", "action": "open", "stream_id": "s"}
+        for base, spec in ((self.BASE, shard._ROUTE_FIELDS),
+                           (stream, shard._STREAM_ROUTE_FIELDS)):
+            for name, _ in spec:
+                omitted = {k: v for k, v in base.items() if k != name}
+                assert route_digest(omitted) == route_digest(
+                    {**omitted, name: defaults[name]}
+                ), name
 
     def test_rejects_other_types(self):
         with pytest.raises(ParameterError):
@@ -138,72 +162,106 @@ class TestRouteDigest:
 
     def test_ignores_the_code_version(self, monkeypatch):
         # Routing keys the question alone: a source edit must not
-        # reshuffle shards or hot-tier slots.
+        # reshuffle shards.
         from repro.experiments import runner
         base = route_digest(self.BASE)
         monkeypatch.setattr(runner, "_code_version", "0" * 16)
         assert route_digest(self.BASE) == base
 
 
+class TestRouterValidates:
+    """The router answers what one service answers, even to a request
+    that differs from a cached question only where the service
+    validates it."""
+
+    BASE = TestRouteDigest.BASE
+
+    @pytest.mark.parametrize("change", [
+        {"pattern": {"kind": "hotspot", "n": float(N), "k": 16}},
+        {"pattern": {"kind": "hotspot", "n": N, "k": 16.0}},
+        {"typo_field": 1},
+        {"deadline_ms": -5},
+        {"action": "open"},
+        {"request_id": 123},
+    ], ids=["float-n", "float-k", "unknown-field", "negative-deadline",
+            "action-on-predict", "int-request-id"])
+    def test_variant_of_cached_question(self, change):
+        variant = {**self.BASE, **change}
+        with PredictionService(**_service_kwargs()) as svc:
+            assert svc.call(self.BASE, timeout=120).ok
+            expected = svc.call(variant, timeout=120)
+        with ShardRouter(2, **_service_kwargs()) as router:
+            assert router.call(self.BASE, timeout=120).ok
+            got = router.call(variant, timeout=120)
+            # a call right after a cold call returns is a router hit
+            assert router.call(self.BASE, timeout=120).cached
+        assert _canon([got]) == _canon([expected])
+
+
+def _answer(rows=None):
+    """An ok response as the router caches it: one point, or a sweep of
+    ``rows`` rows."""
+    result = {"v": 1.5} if rows is None else {
+        "param": "k", "rows": [{"value": i} for i in range(rows)]
+    }
+    return ServeResponse(status="ok", code=200, op="predict",
+                         engine="banksim", machine="toy", result=result)
+
+
 class TestSharedHotTier:
     def test_put_get_round_trip(self):
-        tier = SharedHotTier(slots=8, slot_bytes=512)
-        try:
-            key = route_digest(TestRouteDigest.BASE)
-            payload = {"status": "ok", "op": "predict", "engine": "x",
-                       "machine": "toy", "result": {"v": 1.5}}
-            assert tier.get(key) is None
-            assert tier.put(key, payload)
-            assert tier.get(key) == payload
-            assert tier.stats()["hits"] == 1
-            assert tier.stats()["misses"] == 1
-        finally:
-            tier.close()
+        tier = SharedHotTier(8)
+        key = route_digest(TestRouteDigest.BASE)
+        answer = _answer()
+        assert tier.get(key) is None
+        assert tier.put(key, answer)
+        assert tier.get(key) is answer
 
     def test_oversize_payload_is_skipped(self):
-        tier = SharedHotTier(slots=4, slot_bytes=64)
-        try:
-            key = b"k" * 16
-            assert not tier.put(key, {"blob": "x" * 1024})
-            assert tier.get(key) is None
-            assert tier.stats()["skipped"] == 1
-        finally:
-            tier.close()
+        """An answer weighs its points, a sweep its rows; one heavier
+        than the whole capacity is not stored."""
+        tier = SharedHotTier(4)
+        assert tier.put(b"p" * 16, _answer())
+        assert tier.put(b"s" * 16, _answer(rows=3))
+        assert tier.weight == 4
+        assert not tier.put(b"x" * 16, _answer(rows=5))
+        assert tier.get(b"x" * 16) is None
+        # a 2-row sweep evicts the oldest answers until it fits
+        assert tier.put(b"t" * 16, _answer(rows=2))
+        assert tier.get(b"p" * 16) is None and tier.get(b"s" * 16) is None
+        assert tier.weight == 2
 
-    def test_collision_overwrites(self):
-        tier = SharedHotTier(slots=1, slot_bytes=512)
-        try:
-            tier.put(b"a" * 16, {"v": 1})
-            tier.put(b"b" * 16, {"v": 2})     # same (only) slot
-            assert tier.get(b"a" * 16) is None
-            assert tier.get(b"b" * 16) == {"v": 2}
-        finally:
-            tier.close()
-
-    def test_attach_sees_creator_writes(self):
-        import multiprocessing
-
-        lock = multiprocessing.get_context().Lock()
-        tier = SharedHotTier(slots=8, slot_bytes=256, lock=lock)
-        try:
-            tier.put(b"c" * 16, {"v": 3})
-            other = SharedHotTier.attach(tier.name, 8, 256, lock)
-            assert other.get(b"c" * 16) == {"v": 3}
-            other.close()
-        finally:
-            tier.close()
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ParameterError):
-            SharedHotTier(slots=0)
-        with pytest.raises(ParameterError):
-            SharedHotTier(slot_bytes=0)
+    def test_evicts_least_recently_used(self):
+        tier = SharedHotTier(2)
+        tier.put(b"a" * 16, _answer())
+        tier.put(b"b" * 16, _answer())
+        assert tier.get(b"a" * 16) is not None    # now the most recent
+        tier.put(b"c" * 16, _answer())
+        assert tier.get(b"b" * 16) is None
+        assert tier.get(b"a" * 16) is not None
+        assert tier.get(b"c" * 16) is not None
 
 
 class TestRouterLifecycle:
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ParameterError):
             ShardRouter(0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"lru": 5}, {"hot_tier_slots": 0}, {"max_queue": 0},
+        {"batch_size": 0}, {"flush_ms": -1.0}, {"max_streams": -1},
+        {"stream_window": 0},
+    ], ids=lambda kw: next(iter(kw)))
+    def test_bad_service_settings_rejected_before_fork(self, kwargs,
+                                                       monkeypatch):
+        """A setting every worker's service would die of is refused in
+        the caller, before anything forks."""
+        def no_fork(*args):
+            raise AssertionError("forked before checking the settings")
+
+        monkeypatch.setattr(shard, "get_context", no_fork)
+        with pytest.raises(ParameterError):
+            ShardRouter(2, **kwargs)
 
     def test_non_object_request_answers_400(self):
         """Anything that is not a request is answered, not raised: the
@@ -252,9 +310,9 @@ class TestRouterLifecycle:
             == manifest["routed"]
 
     def test_worker_death_rebalances_to_survivor(self):
-        # hot tier off: the replay must actually exercise the re-route,
-        # not be answered from shared memory
-        router = ShardRouter(2, hot_tier_slots=0, **_service_kwargs())
+        # caches off: the replay must actually exercise the re-route,
+        # not be answered from the router's cache
+        router = ShardRouter(2, lru_size=0, **_service_kwargs())
         try:
             first = router.serve(REQUESTS[:4], timeout=120)
             assert all(r.ok for r in first)
@@ -296,7 +354,7 @@ class TestRouterLifecycle:
         """Regression: a stranded in-flight request used to bump
         ``rebalanced`` twice — once in bulk at worker exit, then again
         when its resubmission remapped past the dead home shard."""
-        router = ShardRouter(2, hot_tier_slots=0, **_service_kwargs())
+        router = ShardRouter(2, lru_size=0, **_service_kwargs())
         try:
             request = next(
                 req for req in (
@@ -328,10 +386,44 @@ class TestRouterLifecycle:
             router.close()
 
     def test_duplicate_requests_share_one_shard(self):
-        with ShardRouter(4, hot_tier_slots=0, **_service_kwargs()) \
-                as router:
+        with ShardRouter(4, lru_size=0, **_service_kwargs()) as router:
             dup = REQUESTS[0]
             router.serve([dict(dup) for _ in range(12)], timeout=120)
             routed = router.shard_routed()
         assert sum(1 for n in routed if n) == 1   # one home shard
         assert sum(routed) == 12
+
+    def test_concurrent_callers_keep_the_cache_consistent(self):
+        """Callers probe while reader threads fill and evict: every
+        answer stays right, and the cache weighs exactly its entries."""
+        questions = [
+            {"op": "predict", "machine": "toy",
+             "pattern": {"kind": "hotspot", "n": N, "k": k}}
+            for k in (2, 4, 8, 16, 32, 64)
+        ]
+        with PredictionService(**_service_kwargs()) as svc:
+            expected = _canon(svc.serve(questions, timeout=120))
+
+        with ShardRouter(4, lru_size=4, **_service_kwargs()) as router:
+            def caller(i):
+                return _canon([
+                    router.call(questions[(i + j) % 6], timeout=120)
+                    for j in range(60)
+                ])
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    got = list(pool.map(caller, range(4)))
+            finally:
+                sys.setswitchinterval(interval)
+            tier = router._tier
+            with router._lock:
+                weights = [w for _value, w in tier._data.values()]
+            stats = router.stats()
+        for i, answers in enumerate(got):
+            assert answers == [expected[(i + j) % 6] for j in range(60)]
+        assert tier.weight == sum(weights) <= 4
+        assert stats.hot_hits + stats.routed == stats.received == 240
+        assert stats.hot_hits and stats.hot_puts

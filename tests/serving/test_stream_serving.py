@@ -271,7 +271,7 @@ class TestStreamRouting:
         assert fin.result["mean_wait"] == float(one.mean_wait)
 
     def test_worker_death_mid_stream_answers_reopen(self):
-        with ShardRouter(2, hot_tier_slots=0, **_kwargs()) as router:
+        with ShardRouter(2, lru_size=0, **_kwargs()) as router:
             opened = router.call(_open("doomed"), timeout=120)
             assert opened.ok
             assert router.call(_chunk("doomed", [1, 2, 3]),
