@@ -13,7 +13,12 @@ addresses, so a regression names its layer and the scaling shows:
   over a uniform scatter's projection;
 * ``distinct_random`` — the sparse-space distinct-address draw behind
   ``hotspot`` and ``multi_hotspot``, in the serving layer's default
-  address space.
+  address space;
+* ``stream_bounded`` — the chunk carry: a
+  :class:`~repro.simulator.StreamSimulator` on the same bounded J90 fed
+  the uniform scatter in ``STREAM_CHUNK``-address chunks, each chunk
+  projected from the carried seeds and certified against the pending
+  requests (stall-free at every size, so the event world never runs).
 
 Each timing is the median of ``REPEATS`` runs, reported with its
 quartiles.  Writes ``BENCH_layers.json`` at the repo root.  The file has
@@ -27,7 +32,8 @@ import time
 import numpy as np
 
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_SPACE, j90
-from repro.simulator import fifo_service_times
+from repro.simulator import StreamSimulator, fifo_service_times
+from repro.simulator import simulate_scatter_cycle
 from repro.simulator.cycle import _prepare
 from repro.simulator.cycle_batch import _first_stall, _project, _survivors
 from repro.workloads import distinct_random, uniform_random
@@ -37,6 +43,7 @@ BENCH_JSON = pathlib.Path(__file__).parents[1] / "BENCH_layers.json"
 SIZES = (1 << 10, 1 << 16, 1 << 20)
 REPEATS = 7
 CAPACITY = 8
+STREAM_CHUNK = 4096
 
 
 def _spread(fn, *args):
@@ -66,12 +73,22 @@ def _certificate_inputs(machine, n):
     return s, proj
 
 
+def _stream_bounded(machine, addr):
+    """Feed ``addr`` in ``STREAM_CHUNK`` pieces; the last prefix result."""
+    sim = StreamSimulator(machine)
+    for lo in range(0, addr.size, STREAM_CHUNK):
+        update = sim.feed(addr[lo:lo + STREAM_CHUNK])
+    return update.result
+
+
 def test_perf_layers():
     machine = j90()
     d = float(machine.d)
     rng = np.random.default_rng(DEFAULT_SEED)
+    bounded = machine.with_(queue_capacity=CAPACITY)
     layers = {name: {} for name in ("fifo_kernel", "fifo_kernel_shuffled",
-                                    "certificate", "distinct_random")}
+                                    "certificate", "distinct_random",
+                                    "stream_bounded")}
     for n in SIZES:
         arrivals, banks = _kernel_inputs(machine, n, rng)
         shuffled = rng.permutation(arrivals)
@@ -90,10 +107,23 @@ def test_perf_layers():
         layers["distinct_random"][n] = _spread(
             distinct_random, n, DEFAULT_SPACE, DEFAULT_SEED)
 
+        addr = uniform_random(n, DEFAULT_SPACE, seed=DEFAULT_SEED)
+        if n <= 1 << 16:
+            # Sanity: the chunked stream ends on the one-shot answer.
+            got = _stream_bounded(bounded, addr)
+            want = simulate_scatter_cycle(bounded, addr, engine="batch")
+            assert (got.time, got.max_wait, got.mean_wait,
+                    got.stalled_cycles) == (want.time, want.max_wait,
+                                            want.mean_wait,
+                                            want.stalled_cycles)
+            assert (got.bank_loads == want.bank_loads).all()
+        layers["stream_bounded"][n] = _spread(_stream_bounded, bounded, addr)
+
     BENCH_JSON.write_text(json.dumps({
         "benchmark": "layers",
         "machine": machine.name,
         "queue_capacity": CAPACITY,
+        "stream_chunk": STREAM_CHUNK,
         "space": DEFAULT_SPACE,
         "repeats": REPEATS,
         "telemetry": "off",

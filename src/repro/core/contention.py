@@ -45,6 +45,19 @@ def _interleaved(addresses: np.ndarray, n_banks: int) -> np.ndarray:
     return addresses % n_banks
 
 
+def _runs(addr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A nonempty address array sorted, and the boundaries of its runs
+    of equal values (every run's first position, then the size): one
+    sort and an adjacent-difference mask instead of ``np.unique(addr,
+    return_counts=True)``."""
+    n = addr.size
+    ordered = np.sort(addr)
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:n])
+    return ordered, np.flatnonzero(edge)
+
+
 def location_contention(addresses) -> Tuple[np.ndarray, np.ndarray]:
     """Per-location request counts.
 
@@ -57,8 +70,8 @@ def location_contention(addresses) -> Tuple[np.ndarray, np.ndarray]:
     addr = as_addresses(addresses)
     if addr.size == 0:
         return addr, np.zeros(0, dtype=np.int64)
-    locations, counts = np.unique(addr, return_counts=True)
-    return locations, counts.astype(np.int64)
+    ordered, bounds = _runs(addr)
+    return ordered[bounds[:-1]], np.diff(bounds).astype(np.int64)
 
 
 def max_location_contention(addresses) -> int:
@@ -69,8 +82,7 @@ def max_location_contention(addresses) -> int:
     addr = as_addresses(addresses)
     if addr.size == 0:
         return 0
-    _, counts = np.unique(addr, return_counts=True)
-    return int(counts.max())
+    return int(np.diff(_runs(addr)[1]).max())
 
 
 def bank_loads(addresses, n_banks: int, bank_map: Optional[BankMap] = None) -> np.ndarray:

@@ -352,10 +352,12 @@ _MISS = object()
 
 
 def cache_fetch(
-    fn: Callable, kwargs: Dict[str, Any]
+    fn: Callable, kwargs: Dict[str, Any], key: Optional[str] = None
 ) -> Tuple[bool, Any]:
     """Probe the on-disk memo for one point: ``(True, value)`` on a hit
     for ``fn(**kwargs)``, else ``(False, None)``.  Never computes.
+    ``key`` is the point's :func:`cache_key` when the caller already
+    has it (``None``: computed here).
 
     This is the read-only side of the memo :func:`run_grid` maintains;
     the serving layer (:mod:`repro.serving`) probes it at admission so a
@@ -366,7 +368,7 @@ def cache_fetch(
     """
     if not _cache_enabled(None):
         return False, None
-    hit = _cache_load(cache_key(fn, kwargs))
+    hit = _cache_load(cache_key(fn, kwargs) if key is None else key)
     if hit is _MISS:
         return False, None
     return True, hit
@@ -706,6 +708,7 @@ def run_grid(
     cache: Optional[bool] = None,
     timeout: Optional[float] = None,
     fuse: Optional[bool] = None,
+    keys: Optional[Sequence[str]] = None,
 ) -> List[Any]:
     """Evaluate ``fn(**point)`` for every point, in order.
 
@@ -762,11 +765,18 @@ def run_grid(
         ``grid_fuse`` adapter; ``False`` forces per-point evaluation
         (e.g. for benchmarking the unfused path); ``True`` is the
         explicit spelling of the default behaviour.
+    keys:
+        Each point's :func:`cache_key`, when the caller already computed
+        them (``None``: computed here, and only while caching is on).
     """
     points = [dict(p) for p in points]
+    if keys is not None and len(keys) != len(points):
+        raise ParameterError(
+            f"run_grid got {len(keys)} keys for {len(points)} points"
+        )
     results: List[Any] = [None] * len(points)
     enabled = _cache_enabled(cache)
-    keys: List[Optional[str]] = [None] * len(points)
+    point_keys: List[Optional[str]] = [None] * len(points)
     todo: List[int] = []
     dup_of: Dict[int, int] = {}
     first_of_key: Dict[str, int] = {}
@@ -776,8 +786,8 @@ def run_grid(
     t0 = time.perf_counter()  # reprolint: disable=REPRO102
     for i, point in enumerate(points):
         if enabled:
-            key = cache_key(fn, point)
-            keys[i] = key
+            key = cache_key(fn, point) if keys is None else keys[i]
+            point_keys[i] = key
             first = first_of_key.get(key)
             if first is not None:
                 # Identical point already seen in this submission:
@@ -884,7 +894,7 @@ def run_grid(
 
     if enabled:
         for i in todo:
-            _cache_store(keys[i], results[i])
+            _cache_store(point_keys[i], results[i])
         for i, first in dup_of.items():
             results[i] = results[first]
     # In-process fused evaluation is its own wall-clock bucket; the

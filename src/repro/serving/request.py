@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -223,9 +224,14 @@ class ServeRequest:
             values = self.sweep["values"]
             if not isinstance(values, (list, tuple)) or not values:
                 raise ParameterError("sweep values must be a nonempty list")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        deadline = self.deadline_ms
+        if deadline is not None and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+            or not math.isfinite(deadline) or deadline <= 0
+        ):
             raise ParameterError(
-                f"deadline_ms must be > 0, got {self.deadline_ms}"
+                f"deadline_ms must be a finite number > 0, got {deadline!r}"
             )
 
     def _validate_stream(self) -> None:

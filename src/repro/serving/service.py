@@ -33,7 +33,8 @@ the traffic engineering around those calls:
   a queue slot; keys are the runner's own
   :func:`~repro.experiments.runner.cache_key` over the fully-resolved
   work item, which makes cached and freshly-evaluated answers
-  interchangeable by construction.
+  interchangeable by construction.  Each point is keyed once, at
+  admission; the disk probe and the flush's ``run_grid`` reuse the key.
 
 * **Stream sessions** — the ``stream`` op opens a named
   :class:`~repro.simulator.stream.StreamSimulator` session, feeds it
@@ -713,7 +714,8 @@ class PredictionService(ServingBackend):
                     ticket._complete(slot, hit, cached=True, batch=0)
                     continue
                 if self.disk_cache:
-                    found, value = runner.cache_fetch(evaluate_point, point)
+                    found, value = runner.cache_fetch(evaluate_point, point,
+                                                      key)
                     if found:
                         with self._lock:
                             self._stats.disk_hits += 1
@@ -1001,6 +1003,7 @@ class PredictionService(ServingBackend):
                 evaluate_point, unique,
                 parallel=self.parallel,
                 cache=None if self.disk_cache else False, fuse=self.fuse,
+                keys=list(takers),
             )
         except Exception as exc:  # reprolint: disable=REPRO111 -- the service must answer 500 and stay up, whatever the evaluation raised
             with self._lock:

@@ -7,9 +7,9 @@ the machine in *spans* and solves each span with numpy array stepping,
 for the unbounded-queue simulator (:mod:`repro.simulator.banksim`), for
 one scatter (``engine="batch"``), for a whole stack of them
 (:func:`~repro.simulator.cycle_grid.simulate_scatter_grid`, of which
-the batch engine is the one-row call) and for unbounded stream chunks
+the batch engine is the one-row call) and for stream chunks
 (:class:`~repro.simulator.stream.StreamSimulator`, one row with carried
-seeds):
+seeds, certified against the pending requests of earlier chunks):
 
 1. **Project.** Ignoring queue bounds, every remaining request's service
    start follows from the FIFO recurrence ``start[i] = max(arrival[i],
@@ -70,7 +70,7 @@ from ..errors import PatternError, SimulationError
 from .cycle import _finish, _new_acc, _Setup, _world
 from .machine import MachineConfig
 from .stats import SimResult
-from .world import Acc, runaway_error
+from .world import Acc, Issued, runaway_error
 
 __all__ = ["fifo_service_times", "fifo_service_times_cached"]
 
@@ -593,7 +593,8 @@ def _project(
     ]
 
 
-def _first_stall(s: _Setup, proj: _Proj) -> Optional[int]:
+def _first_stall(s: _Setup, proj: _Proj,
+                 issued: Optional[Issued] = None) -> Optional[int]:
     """Earliest projected issue cycle whose target queue is full, or
     ``None`` if the projection is stall-free (and therefore exact).
 
@@ -601,11 +602,22 @@ def _first_stall(s: _Setup, proj: _Proj) -> Optional[int]:
     delivered by ``q-1`` minus those started by ``q-1``: inside a cycle
     processors issue before arrivals are delivered and banks serve, so
     only strictly earlier deliveries/starts occupy the queue.
+    ``issued`` adds requests issued before the projection's own (a
+    stream's pending requests): they count toward every depth but are
+    not queried, since their own issues were certified already.
     """
     arrival, start, banks = proj.arrival, proj.start, proj.bank
     n = arrival.size
     if s.capacity is None or n == 0:
         return None
+    m = 0
+    if issued is not None and issued.start.size:
+        # Issued requests precede the projection's in request order, so
+        # the arrivals stay nondecreasing and every FIFO keeps its order.
+        m = int(issued.start.size)
+        arrival = np.concatenate((issued.arrival, arrival))
+        start = np.concatenate((issued.start, start))
+        banks = np.concatenate((issued.bank, banks))
     order = _fifo_order(banks, arrival)
     s_bank = banks[order]
     s_arr = arrival[order]
@@ -613,7 +625,7 @@ def _first_stall(s: _Setup, proj: _Proj) -> Optional[int]:
     # permutation leaves starts nondecreasing per segment.
     s_start = start[order]
 
-    seg_start = np.empty(n, dtype=bool)
+    seg_start = np.empty(order.size, dtype=bool)
     seg_start[0] = True
     np.not_equal(s_bank[1:], s_bank[:-1], out=seg_start[1:])
     seg_id = np.cumsum(seg_start) - 1
@@ -627,13 +639,17 @@ def _first_stall(s: _Setup, proj: _Proj) -> Optional[int]:
     # so q - 1 = arrival - latency - 1.
     span = float(s_start.max()) + 2.0
     lift = seg_id * span
-    query = (s_arr - float(s.latency + 1)) + lift
+    ask, ask_lift = s_arr, lift
+    if m:
+        asked = order >= m
+        ask, ask_lift = s_arr[asked], lift[asked]
+    query = (ask - float(s.latency + 1)) + ask_lift
     delivered = np.searchsorted(s_arr + lift, query, side="right")
     started = np.searchsorted(s_start + lift, query, side="right")
     stalls = delivered - started >= s.capacity
     if not stalls.any():
         return None
-    return int(s_arr[stalls].min()) - s.latency
+    return int(ask[stalls].min()) - s.latency
 
 
 def _commit(

@@ -20,33 +20,37 @@ All the state one chunk hands the next is therefore tiny and per-bank:
 * ``init_addr`` — each bank's row-buffer address under the bank-cache
   extension (``-1`` = cold).
 
-Unbounded machines project every chunk through the batch engine's own
-projector and ``_commit`` (:mod:`repro.simulator.cycle_batch`) carrying
-those seeds — a one-shot run is a one-chunk stream: the stall
-certificate holds *vacuously* when ``queue_capacity is None``, so the
-projection is the exact bounded run.  The stream itself keeps only the
-seed carry and, with telemetry, the queue high-water sweep of events
-still pending at the seam.
+Every chunk projects through the batch engine's own projector and
+``_commit`` (:mod:`repro.simulator.cycle_batch`) carrying those seeds —
+a one-shot run is a one-chunk stream — and commits when the stall
+certificate holds.  It holds *vacuously* when ``queue_capacity is
+None``.  On bounded queues it checks the chunk's issues against the
+chunk's projection plus the *pending* requests: committed requests whose
+service starts at or past the last *horizon* ``(n_fed // p) * g`` (the
+scheduled issue cycle of the first request not yet fed).  Earlier
+requests started before any of the chunk's issues, so they cancel out
+of every queue depth it sees.  Bounded machines keep the pending set as
+``(arrival, start, cost, bank, address)``; telemetry keeps it too, for
+the queue high-water sweep of events that straddle the seam.
 
-Bounded machines are the certificate-miss case by construction — a
-contiguous stream essentially never settles before the horizon — so
-their chunks run through the one event world of
-:mod:`repro.simulator.world` (the ``engine="event"`` stepper itself),
-which stops at the *horizon* ``(n_fed // p) * g`` (the scheduled issue
-cycle of the first request not yet fed; any cycle before it can only
-involve fed requests, so processing it early is safe and exact).
-Prefix results for a paused world come from draining a clone, never
-the live world.
+The first chunk whose certificate fails is not committed: the session
+moves into the one event world of :mod:`repro.simulator.world` (the
+``engine="event"`` stepper itself), seeded from the carry at the last
+horizon instead of replayed from cycle 0 (:meth:`EventWorld.seed`), and
+stays there.  The world stops at each new horizon (any cycle before it
+can only involve fed requests, so processing it early is safe and
+exact).  Prefix results for a paused world come from draining a clone,
+never the live world.
 
 Memory bound
 ------------
 
 With telemetry off on an unbounded machine the simulator holds O(chunk
 + n_banks) memory regardless of trace length: the per-bank seeds, the
-rolling accumulators, and one chunk of addresses.  Telemetry adds the
-pending-event set for the queue high-water sweep and bounded queues add
-the event world's outstanding requests — both grow only with genuine
-backlog (never beyond what the one-shot engine would hold).
+rolling accumulators, and one chunk of addresses.  Telemetry and
+bounded queues add the pending set, and a stalled session the event
+world's outstanding requests — both grow only with genuine backlog
+(never beyond what the one-shot engine would hold).
 
 Restrictions
 ------------
@@ -70,12 +74,12 @@ from .._util import as_addresses
 from ..core.contention import BankMap
 from ..errors import ParameterError, SimulationError
 from .cycle import _bank_ids, _finish, _machine_setup, _max_cycles, _new_acc
-from .cycle_batch import _NONE, _commit, _project, _Work
+from .cycle_batch import _NONE, _commit, _first_stall, _Proj, _project, _Work
 from .machine import MachineConfig, require_machine
 from .request import Assignment
 from .sanitize import sanitize_enabled
 from .stats import SimResult
-from .world import EventWorld
+from .world import EventWorld, Issued
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -94,6 +98,9 @@ DEFAULT_CHUNK = 65536
 _DIGEST_BLOCK_BYTES = 8192 * 8
 
 _DIGEST_SEED = hashlib.sha256(b"repro-stream-prefix-v1").digest()
+
+_NO_PENDING = Issued(_NONE, _NONE, _NONE, np.zeros(0, dtype=np.int64),
+                     np.zeros(0, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -207,21 +214,18 @@ class StreamSimulator:
             np.full(s.n_banks, -1, dtype=np.int64)
             if s.hit_delay is not None else None
         )
-        # Pending (arrival, start, bank) events for the chunked queue
-        # high-water sweep: every request whose service start lies at or
-        # past the last horizon may still overlap a future chunk's
-        # arrivals.
-        self._pend: Tuple[np.ndarray, ...] = (
-            _NONE, _NONE, np.zeros(0, dtype=np.int64)
-        )
-        # Bounded queues miss the stall certificate by construction (a
-        # contiguous stream does not settle before the horizon), so
-        # they run in the exact pausable event world instead.
-        self._world: Optional[EventWorld] = (
-            EventWorld(s.p, s.n_banks, s.g, s.d, s.latency, s.hit_delay,
-                       s.capacity)
-            if s.capacity is not None else None
-        )
+        # Pending requests: committed, with service starting at or past
+        # the last horizon, so they may still share a queue with a
+        # future chunk's requests.  Bounded machines keep them for the
+        # stall certificate and the seeded world, telemetry for the
+        # queue high-water sweep; other machines keep none.
+        self._keep_pending = (s.capacity is not None
+                              or self._acc.q_high is not None)
+        self._pend = _NO_PENDING
+        # Every chunk projects from the carry until one fails its stall
+        # certificate; the session then moves into an exact pausable
+        # event world seeded from the carry and stays there.
+        self._world: Optional[EventWorld] = None
         self._digest_chain = _DIGEST_SEED
         self._digest_tail = b""
 
@@ -300,49 +304,72 @@ class StreamSimulator:
         """Fold one <= max_chunk piece into the rolling simulation."""
         s = self._s
         banks = _bank_ids(self._bank_map, chunk, s.n_banks)
-        idx = np.arange(s.n, s.n + chunk.size, dtype=np.int64)
-        self._grow(s.n + int(chunk.size))
+        n_prev = s.n
+        idx = np.arange(n_prev, n_prev + chunk.size, dtype=np.int64)
+        self._grow(n_prev + int(chunk.size))
         if self._world is None:
-            # Unbounded queues: the stall certificate holds vacuously,
-            # so the seeded projection is the exact run.
             issue = (idx // s.p).astype(np.float64) * float(s.g)
-            self._commit_chunk(chunk, banks, issue)
-        else:
-            # Certificate miss: exact event world up to the horizon —
-            # the scheduled issue cycle of the first unfed request.
-            self._world.feed((idx % s.p).astype(np.int64), banks, chunk)
-            self._world.run(self._acc, s.max_cycles,
-                            horizon=(s.n // s.p) * s.g)
+            (proj,) = _project((s,), (_Work(issue, banks, chunk, _NONE),),
+                               self._floors, self._last_addr)
+            if _first_stall(s, proj, self._pend) is None:
+                # Certified (vacuously on unbounded queues): the seeded
+                # projection is the exact run.
+                self._commit_chunk(proj, chunk)
+                return
+            self._world = self._seed_world(n_prev)
+        # Exact event world up to the horizon: the scheduled issue cycle
+        # of the first unfed request.
+        self._world.feed(idx % s.p, banks, chunk)
+        self._world.run(self._acc, s.max_cycles,
+                        horizon=(s.n // s.p) * s.g)
 
-    def _commit_chunk(self, chunk: np.ndarray, banks: np.ndarray,
-                      issue: np.ndarray) -> None:
-        """Project one chunk from the carried seeds, commit it, and carry
-        the seeds (and pending high-water events) on."""
+    def _commit_chunk(self, proj: _Proj, chunk: np.ndarray) -> None:
+        """Commit one certified chunk projection and carry the seeds (and
+        the pending requests) on."""
         s = self._s
-        (proj,) = _project((s,), (_Work(issue, banks, chunk, _NONE),),
-                           self._floors, self._last_addr)
-        sweep = None
-        if self._acc.q_high is not None:
-            # Queue depths can straddle chunk seams, so sweep the union
-            # of this chunk with the still-pending events, then keep
-            # only those that may overlap the next chunk (service start
-            # at or past the new horizon; settled events can never be
-            # part of a future maximum).
-            sweep = tuple(
-                np.concatenate(pair)
-                for pair in zip(self._pend, (proj.arrival, proj.start, banks))
-            )
-        finish = _commit(s, self._acc, proj, sweep)
-        if sweep is not None:
-            keep = sweep[1] >= float((s.n // s.p) * s.g)
-            self._pend = tuple(events[keep] for events in sweep)
+        events: Optional[Issued] = None
+        if self._keep_pending:
+            # Queue depths can straddle chunk seams, so the high-water
+            # sweep takes the union of this chunk with the pending set.
+            cost = proj.cost if proj.cost is not None \
+                else np.full(chunk.size, float(s.d))
+            events = Issued(*(
+                np.concatenate(pair) for pair in zip(
+                    self._pend,
+                    (proj.arrival, proj.start, cost, proj.bank, chunk))
+            ))
+        finish = _commit(s, self._acc, proj, None if events is None
+                         else (events.arrival, events.start, events.bank))
+        if events is not None:
+            # Requests that start before the new horizon cancel out of
+            # every later depth and can never be part of a later maximum.
+            keep = events.start >= float((s.n // s.p) * s.g)
+            self._pend = Issued(*(a[keep] for a in events))
         # Carry state: per-bank FIFO order equals array order here, and
         # finishes are nondecreasing per bank, so fancy assignment's
         # last-occurrence-wins leaves each touched bank's free-at floor
         # (and row buffer) at its final served request.
-        self._floors[banks] = finish
+        self._floors[proj.bank] = finish
         if self._last_addr is not None:
-            self._last_addr[banks] = chunk
+            self._last_addr[proj.bank] = chunk
+
+    def _new_world(self) -> EventWorld:
+        s = self._s
+        return EventWorld(s.p, s.n_banks, s.g, s.d, s.latency, s.hit_delay,
+                          s.capacity)
+
+    def _seed_world(self, n_prev: int) -> EventWorld:
+        """The event world paused at the last horizon, where the first
+        ``n_prev`` requests were committed stall-free: pending requests
+        go back into it and out of the accumulator."""
+        s = self._s
+        world = self._new_world()
+        self._acc.withdraw(self._pend)
+        world.seed((n_prev // s.p) * s.g, n_prev,
+                   [-(-(n_prev - q) // s.p) * s.g for q in range(s.p)],
+                   self._floors, self._last_addr, self._pend)
+        self._pend = _NO_PENDING
+        return world
 
     # -- prefix results ----------------------------------------------------
 
@@ -374,7 +401,8 @@ class StreamSimulator:
     def state(self) -> Dict[str, Any]:
         """Complete resumable state as plain picklable structures."""
         return {
-            "version": 3,
+            "version": 4,
+            "queue_capacity": self._s.capacity,
             "n": self._s.n,
             "chunk_index": self._chunk_index,
             "last_time": self._last_time,
@@ -386,7 +414,7 @@ class StreamSimulator:
             "last_addr": (
                 None if self._last_addr is None else self._last_addr.copy()
             ),
-            "pend": tuple(events.copy() for events in self._pend),
+            "pend": tuple(a.copy() for a in self._pend),
             "world": None if self._world is None else self._world.state(),
         }
 
@@ -396,7 +424,7 @@ class StreamSimulator:
         The simulator must have consumed nothing yet and must have been
         constructed with the same machine/telemetry configuration the
         checkpoint was taken under."""
-        if state.get("version") != 3:
+        if state.get("version") != 4:
             raise ParameterError(
                 f"unsupported stream checkpoint version "
                 f"{state.get('version')!r}"
@@ -407,7 +435,7 @@ class StreamSimulator:
                 f"already consumed {self._s.n} addresses)"
             )
         acc_state = state["acc"]
-        if (state["world"] is None) != (self._world is None) \
+        if state["queue_capacity"] != self._s.capacity \
                 or (state["last_addr"] is None) != (self._last_addr is None) \
                 or (acc_state["busy"] is None) != (self._acc.busy is None):
             raise ParameterError(
@@ -424,9 +452,9 @@ class StreamSimulator:
         self._floors = state["floors"].copy()
         if state["last_addr"] is not None:
             self._last_addr = state["last_addr"].copy()
-        self._pend = tuple(events.copy() for events in state["pend"])
+        self._pend = Issued(*(a.copy() for a in state["pend"]))
         if state["world"] is not None:
-            assert self._world is not None
+            self._world = self._new_world()
             self._world.load_state(state["world"])
 
     def _checkpoint_kwargs(

@@ -13,8 +13,10 @@ the instance between calls.  Its three callers:
   one-shot run is a one-chunk stream);
 * the batch engine's back-pressure fallback runs it to quiescence and
   exports the remaining requests for vectorized re-projection;
-* bounded-queue :class:`~repro.simulator.stream.StreamSimulator` chunks
-  run it to the horizon and drain a clone for prefix results.
+* a bounded-queue :class:`~repro.simulator.stream.StreamSimulator`
+  builds it with :meth:`EventWorld.seed` from its committed carry at the
+  first chunk whose stall certificate fails, then runs every chunk to
+  the horizon and drains a clone for prefix results.
 
 Per-cycle sub-step order is the tick engine's: processors issue (in
 processor-id order), in-flight requests arrive at bank queues, banks
@@ -51,7 +53,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import repeat
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Deque, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -60,11 +63,24 @@ from .machine import MachineConfig
 from .sanitize import check_superstep
 from .stats import SimResult, SimTelemetry
 
-__all__ = ["Acc", "EventWorld", "proc_rows", "runaway_error"]
+__all__ = ["Acc", "EventWorld", "Issued", "proc_rows", "runaway_error"]
 
 #: One request as a processor holds it: (bank, address, survives
 #: combining).  Absorbed requests (``False``) never reach a bank.
 Row = Tuple[int, int, bool]
+
+
+class Issued(NamedTuple):
+    """Requests issued and committed by a projection whose service
+    starts at or after some cycle: projected bank arrival, start and
+    service cost, bank and address, in request order (so each bank's
+    share is a suffix of its FIFO)."""
+
+    arrival: np.ndarray
+    start: np.ndarray
+    cost: np.ndarray
+    bank: np.ndarray
+    addr: np.ndarray
 
 
 def runaway_error(max_cycles: int, outstanding: int, stalled: int,
@@ -142,6 +158,19 @@ class Acc:
         for k in Acc.__slots__:
             v = state[k]
             setattr(self, k, v.copy() if isinstance(v, np.ndarray) else v)
+
+    def withdraw(self, issued: Issued) -> None:
+        """Take back the sums a commit folded in for ``issued`` (their
+        completions, waits, served counts and busy cycles) before a
+        world seeded with them serves them again.  The maxima stay: the
+        world serves them at the committed cycles."""
+        n_banks = self.bank_served.size
+        self.completed -= int(issued.start.size)
+        self.total_wait -= float((issued.start - issued.arrival).sum())
+        self.bank_served -= np.bincount(issued.bank, minlength=n_banks)
+        if self.busy is not None:
+            self.busy -= np.bincount(issued.bank, weights=issued.cost,
+                                     minlength=n_banks)
 
     def fold(self, served: List[int], busy: List[int], q_high: List[int],
              proc_stalls: List[int]) -> None:
@@ -253,6 +282,56 @@ class EventWorld:
                                    max(self.next_issue[q], self.t) * p + q)
                 dq.extend(rows)
         self.n_fed += int(proc.size)
+
+    def seed(self, t: int, n_fed: int, next_issue: Sequence[int],
+             floors: np.ndarray, last_addr: Optional[np.ndarray],
+             issued: Issued) -> None:
+        """Pause this fresh world at cycle ``t`` exactly as if it had been
+        stepped there from cycle 0, from a stall-free projection's carry.
+
+        ``n_fed`` requests were fed and every one issued at its
+        scheduled cycle, none after ``t`` (nobody is blocked or parked);
+        processor ``q`` next issues at ``next_issue[q] >= t``.
+        ``issued`` holds those whose service starts at or after ``t``:
+        the ones that arrived by ``t - 1`` wait in their banks' queues,
+        the rest are in flight, both in request order, and each nonempty
+        queue's wheel entry is its head's start.  A bank with issued
+        requests is free at its first one's start, its row buffer set so
+        that request costs what the projection charged; every other bank
+        takes its ``floors`` free-at cycle and ``last_addr`` row buffer
+        (``None``: no row buffers).  Requests fed later go through
+        :meth:`feed`."""
+        n_banks = len(self.queues)
+        free_at = floors.astype(np.int64)
+        buf = (np.full(n_banks, -1, dtype=np.int64) if last_addr is None
+               else last_addr.astype(np.int64))
+        # Reversed fancy assignment: the last write wins, so each bank
+        # keeps its first issued request's start and row buffer.
+        rev = issued.bank[::-1]
+        free_at[rev] = issued.start[::-1]
+        if self.hit_delay is not None:
+            # Only a hit costs less than d; when hit_delay == d either
+            # buffer state charges the same.
+            buf[rev] = np.where(issued.cost < self.d, issued.addr, -1)[::-1]
+        self.free_at = free_at.tolist()
+        self.last_addr = buf.tolist()
+        reqs = list(zip(issued.arrival.astype(np.int64).tolist(),
+                        issued.bank.tolist(), issued.addr.tolist()))
+        # Arrivals are nondecreasing in request order.
+        cut = int(np.searchsorted(issued.arrival, float(t)))
+        for req in reqs[:cut]:
+            self.queues[req[1]].append(req)
+        self.in_flight.extend(reqs[cut:])
+        width = self.d + 1
+        for bank in dict.fromkeys(req[1] for req in reqs[:cut]):
+            x = self.free_at[bank]
+            slot = self.wheel[x % width]
+            if not slot:
+                heapq.heappush(self.wheel_times, x)
+            slot.append(bank)
+        self.next_issue = [int(c) for c in next_issue]
+        self.n_fed = n_fed
+        self.t = t
 
     def run(self, acc: Acc, max_cycles: int, horizon: Optional[int] = None,
             t_stall: Optional[int] = None) -> bool:

@@ -17,6 +17,8 @@ from repro.core import (
     normalized_entropy,
 )
 from repro.errors import ParameterError, PatternError
+from repro.workloads import hotspot, uniform_random
+from repro.workloads.patterns import zipf_pattern
 
 addresses = hnp.arrays(
     dtype=np.int64,
@@ -49,6 +51,26 @@ class TestLocationContention:
         if addr.size:
             assert counts.min() >= 1
             assert max_location_contention(addr) == counts.max()
+
+    @pytest.mark.parametrize("addr", [
+        uniform_random(4096, 1 << 24, seed=3),
+        uniform_random(65536, 1 << 12, seed=4),
+        hotspot(4096, 1024, 1 << 24, seed=5),
+        zipf_pattern(4096, 1 << 24, 1.2, seed=6),
+        np.zeros(0, dtype=np.int64),
+        np.asarray([7]),
+        np.full(300, 9),
+    ], ids=["uniform", "uniform-dense", "hotspot", "zipf", "n0", "n1",
+            "all-equal"])
+    def test_equals_np_unique(self, addr):
+        # Counted by one sort and run lengths; the answer must be the
+        # one np.unique(return_counts=True) gives.
+        locs, counts = location_contention(addr)
+        want_locs, want_counts = np.unique(addr, return_counts=True)
+        assert locs.dtype == np.int64 and counts.dtype == np.int64
+        assert (locs == want_locs).all() and (counts == want_counts).all()
+        assert max_location_contention(addr) == (
+            int(want_counts.max()) if addr.size else 0)
 
 
 class TestBankLoads:

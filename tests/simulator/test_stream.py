@@ -345,14 +345,16 @@ class TestDigestAndCheckpoint:
 
     def test_load_state_refuses_version_1(self):
         # Version 2 changed the event world's layout (FIFO in flight,
-        # bank wheel, parked processors) and version 3 the accumulator
-        # (link_wait): an older checkpoint must be refused, not misread.
+        # bank wheel, parked processors), version 3 the accumulator
+        # (link_wait) and version 4 the carry (pending requests on
+        # bounded machines, a world only after a certificate miss): an
+        # older checkpoint must be refused, not misread.
         machine = toy_machine(p=4, x=2, d=6, queue_capacity=2)
         sim = StreamSimulator(machine)
         sim.feed(hotspot(100, 10, 1 << 12, seed=1))
         state = sim.state()
-        assert state["version"] == 3
-        for old in (1, 2):
+        assert state["version"] == 4
+        for old in (1, 2, 3):
             state["version"] = old
             with pytest.raises(ParameterError, match="version"):
                 StreamSimulator(machine).load_state(state)

@@ -65,6 +65,17 @@ printf '%s\n' \
     '{"op": "stream", "action": "close", "stream_id": "smoke"}' \
     | PYTHONPATH=src python -m repro.serving --flush-ms 1 --stream-window 2 \
     | grep -c '"status": "ok"' | grep -qx 10
+# A bounded-queue session: the uniform chunks certify and commit on the
+# projector, then 64 requests to one hot address per chunk fill a
+# capacity-8 queue, so the session moves into the seeded event world.
+uniform='{"op": "stream", "action": "chunk", "stream_id": "bounded", "pattern": {"kind": "uniform", "n": 4096}}'
+hot='{"op": "stream", "action": "chunk", "stream_id": "bounded", "pattern": {"kind": "hotspot", "n": 4096, "k": 64}}'
+printf '%s\n' \
+    '{"op": "stream", "action": "open", "stream_id": "bounded", "machine": {"base": "j90", "queue_capacity": 8}}' \
+    "$uniform" "$uniform" "$hot" "$hot" \
+    '{"op": "stream", "action": "close", "stream_id": "bounded"}' \
+    | PYTHONPATH=src python -m repro.serving --flush-ms 1 \
+    | grep -c '"status": "ok"' | grep -qx 6
 echo "streaming smoke: ok"
 
 echo "== perf guard =="
