@@ -1,20 +1,25 @@
-"""Perf — the three cycle engines on the Exp-1 hot-spot scatter.
+"""Perf — the cycle simulator's two steppers and its projector on the
+Exp-1 hot-spot scatter.
 
-Times the reference tick loop, the event-driven engine and the
-vectorized batch engine on the Experiment-1 hot-spot scatter at
-S = 64K requests on the J90 (contention k = n: every request targets
-the hot location, so the run is maximally contention-dominated — the
-regime where the tick loop burns ~d*n nearly idle cycles while the
-event engine jumps between the d-spaced serve events and the batch
-engine resolves the whole superstep with one kernel call).  Asserts
-bit-identical results across all three, a >= 10x event-over-tick
-speedup and a >= 10x batch-over-event speedup, saves the paper-style
-comparison under ``benchmarks/results/`` and writes machine-readable
-numbers to ``BENCH_cycle_engine.json`` at the repo root for
-``tools/perf_guard.py``.  A second case times the stall path: a bounded
-J90 zipf scatter where back-pressure binds, so the event engine parks
-processors and the batch engine falls back to the event world, plus a
-fused grid whose bounded rows take that fallback from inside the grid.
+Times the reference tick loop, the event world stepped alone (fed every
+request and run to completion, :func:`_world_run`: the stepper the
+projector falls back to) and the vectorized projector
+(``engine="batch"``, which ``engine="event"`` also runs) on the
+Experiment-1 hot-spot scatter at S = 64K requests on the J90
+(contention k = n: every request targets the hot location, so the run
+is maximally contention-dominated — the regime where the tick loop
+burns ~d*n nearly idle cycles while the world jumps between the
+d-spaced serve events and the projector resolves the whole superstep
+with one kernel call).  Asserts bit-identical results across all
+three, a >= 10x world-over-tick speedup and a >= 10x
+projector-over-world speedup, saves the paper-style comparison under
+``benchmarks/results/`` and writes machine-readable numbers to
+``BENCH_cycle_engine.json`` at the repo root for
+``tools/perf_guard.py`` (``event_seconds`` is the world's timing).  A
+second case times the stall path: a bounded J90 zipf scatter where
+back-pressure binds, so the world parks processors and the projector
+falls back to it, plus a fused grid whose bounded rows take that
+fallback from inside the grid.
 """
 
 import json
@@ -27,6 +32,7 @@ from conftest import run_once
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_SPACE, j90
 from repro.mapping.hashing import HASH_FAMILIES
 from repro.simulator import simulate_scatter_cycle, simulate_scatter_grid
+from repro.simulator.cycle import _finish, _new_acc, _prepare, _world
 from repro.workloads import hotspot
 from repro.workloads.patterns import zipf_pattern
 
@@ -36,6 +42,15 @@ N = 64 * 1024
 K = N
 EVENT_REPEATS = 3
 BATCH_REPEATS = 5
+
+
+def _world_run(machine, addr, bank_map=None):
+    """One scatter stepped through the event world alone: set up, every
+    request fed, run to completion, then the shared epilogue."""
+    s = _prepare(machine, addr, bank_map, "round_robin", None)
+    acc = _new_acc(s)
+    _world(s).run(acc, s.max_cycles)
+    return _finish(machine, s, "world", acc)
 
 
 def _best_of(repeats, fn, *args, **kwargs):
@@ -53,8 +68,7 @@ def test_perf_cycle_engine(benchmark, save_result):
 
     tick_s, tick = _best_of(1, simulate_scatter_cycle, machine, addr,
                             engine="tick")
-    event_s, event = _best_of(EVENT_REPEATS, simulate_scatter_cycle,
-                              machine, addr, engine="event")
+    event_s, event = _best_of(EVENT_REPEATS, _world_run, machine, addr)
     batch_s, batch = _best_of(BATCH_REPEATS, simulate_scatter_cycle,
                               machine, addr, engine="batch")
     run_once(benchmark, simulate_scatter_cycle, machine, addr,
@@ -74,12 +88,12 @@ def test_perf_cycle_engine(benchmark, save_result):
 
     speedup = tick_s / event_s
     assert speedup >= 10.0, (
-        f"event engine only {speedup:.1f}x faster than tick loop "
+        f"event world only {speedup:.1f}x faster than tick loop "
         f"({event_s:.3f}s vs {tick_s:.3f}s)"
     )
     batch_speedup = event_s / batch_s
     assert batch_speedup >= 10.0, (
-        f"batch engine only {batch_speedup:.1f}x faster than event engine "
+        f"projector only {batch_speedup:.1f}x faster than event world "
         f"({batch_s:.4f}s vs {event_s:.3f}s)"
     )
 
@@ -87,12 +101,12 @@ def test_perf_cycle_engine(benchmark, save_result):
         "cycle engine performance (Exp 1 hot-spot, "
         f"{machine.name}, n={N}, k={K})",
         "",
-        f"{'engine':<10} {'seconds':>10} {'sim cycles':>12}",
+        f"{'path':<10} {'seconds':>10} {'sim cycles':>12}",
         f"{'tick':<10} {tick_s:>10.3f} {tick.time:>12.0f}",
-        f"{'event':<10} {event_s:>10.3f} {event.time:>12.0f}",
+        f"{'world':<10} {event_s:>10.3f} {event.time:>12.0f}",
         f"{'batch':<10} {batch_s:>10.4f} {batch.time:>12.0f}",
         "",
-        f"event over tick: {speedup:.1f}x, batch over event: "
+        f"world over tick: {speedup:.1f}x, batch over world: "
         f"{batch_speedup:.1f}x (bit-identical results)",
     ]
     save_result("perf_cycle_engine", "\n".join(lines))
@@ -121,16 +135,16 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
     """The stall path, shaped like the served cold-mix deck's bounded
     entry: J90 with ``queue_capacity=8``, zipf (alpha 1.2) at n = 4096
     through the ``h1`` hash map.  Back-pressure binds for most of the
-    run, so ``event`` parks processors behind full queues and ``batch``
-    fails its stall certificate and falls back to the event world.
-    Asserts bit-identity with ``tick``.
+    run, so the world stepped alone parks processors behind full queues
+    and ``batch`` fails its stall certificate and falls back to the
+    world.  Asserts bit-identity with ``tick``.
 
     Then a fused grid of 8 rows, zipf seeds 0-7 through the same map,
     alternating the bounded J90 (even rows) with the unbounded one (odd
     rows): the unbounded rows commit from one stacked projection and
     the bounded rows fail their certificates and finish through the
     batch fallback from inside the grid.  Asserts every row equals its
-    stand-alone ``engine="event"`` result.  Merges
+    stand-alone world run, which involves no projection.  Merges
     ``event_bounded_seconds`` / ``batch_bounded_seconds`` /
     ``grid_bounded_seconds`` into ``BENCH_cycle_engine.json`` for
     ``tools/perf_guard.py``."""
@@ -140,12 +154,11 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
 
     _, tick = _best_of(1, simulate_scatter_cycle, machine, addr, bank_map,
                        engine="tick")
-    event_s, event = _best_of(BOUNDED_REPEATS, simulate_scatter_cycle,
-                              machine, addr, bank_map, engine="event")
+    event_s, event = _best_of(BOUNDED_REPEATS, _world_run, machine, addr,
+                              bank_map)
     batch_s, batch = _best_of(BOUNDED_REPEATS, simulate_scatter_cycle,
                               machine, addr, bank_map, engine="batch")
-    run_once(benchmark, simulate_scatter_cycle, machine, addr, bank_map,
-             engine="event")
+    run_once(benchmark, _world_run, machine, addr, bank_map)
 
     assert tick.stalled_cycles > 0  # the stall path really ran
     for fast in (event, batch):
@@ -163,7 +176,7 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
     grid_s, fused = _best_of(BOUNDED_REPEATS, simulate_scatter_grid,
                              machines, patterns, bank_map)
     for got, m, row in zip(fused, machines, patterns):
-        alone = simulate_scatter_cycle(m, row, bank_map, engine="event")
+        alone = _world_run(m, row, bank_map)
         assert got.time == alone.time
         assert (got.bank_loads == alone.bank_loads).all()
         assert got.stalled_cycles == alone.stalled_cycles
@@ -175,18 +188,18 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
         "cycle engines on the stall path (zipf 1.2, h1 map, "
         f"{machine.name}, queue_capacity=8, n={BOUNDED_N})",
         "",
-        f"{'engine':<10} {'seconds':>10} {'sim cycles':>12} "
+        f"{'path':<10} {'seconds':>10} {'sim cycles':>12} "
         f"{'stalls':>10}",
-        f"{'event':<10} {event_s:>10.4f} {event.time:>12.0f} "
+        f"{'world':<10} {event_s:>10.4f} {event.time:>12.0f} "
         f"{event.stalled_cycles:>10.0f}",
         f"{'batch':<10} {batch_s:>10.4f} {batch.time:>12.0f} "
         f"{batch.stalled_cycles:>10.0f}",
         f"{'grid x' + str(GRID_BOUNDED_ROWS):<10} {grid_s:>10.4f} "
         f"{'-':>12} {sum(r.stalled_cycles for r in fused):>10.0f}",
         "",
-        "event and batch bit-identical to the tick engine; every grid "
+        "world and batch bit-identical to the tick engine; every grid "
         "row (bounded/unbounded alternating) bit-identical to its "
-        "stand-alone event run",
+        "stand-alone world run",
     ]))
 
     data = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.is_file() \

@@ -11,6 +11,12 @@ addresses, so a regression names its layer and the scaling shows:
 * ``certificate`` — the bounded stall certificate
   (``cycle_batch._first_stall``) on a J90 with ``queue_capacity=8``
   over a uniform scatter's projection;
+* ``commit`` — ``cycle_batch._commit`` of that certified projection
+  into a fresh accumulator;
+* ``world`` — the event world the projector falls back to, built for
+  the same bounded scatter, fed every request and run to completion
+  (the scatter never stalls, so a projected run never gets here; this
+  times the stepper alone);
 * ``distinct_random`` — the sparse-space distinct-address draw behind
   ``hotspot`` and ``multi_hotspot``, in the serving layer's default
   address space;
@@ -34,8 +40,9 @@ import numpy as np
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_SPACE, j90
 from repro.simulator import StreamSimulator, fifo_service_times
 from repro.simulator import simulate_scatter_cycle
-from repro.simulator.cycle import _prepare
-from repro.simulator.cycle_batch import _first_stall, _project, _survivors
+from repro.simulator.cycle import _new_acc, _prepare, _world
+from repro.simulator.cycle_batch import (_commit, _first_stall, _project,
+                                         _survivors)
 from repro.workloads import distinct_random, uniform_random
 
 BENCH_JSON = pathlib.Path(__file__).parents[1] / "BENCH_layers.json"
@@ -73,6 +80,17 @@ def _certificate_inputs(machine, n):
     return s, proj
 
 
+def _commit_fresh(s, proj):
+    """Fold ``proj`` into a new accumulator, as a committed row does."""
+    return _commit(s, _new_acc(s), proj)
+
+
+def _world_run(s):
+    """Build the event world for ``s``, feed it every request and run
+    it to completion."""
+    _world(s).run(_new_acc(s), s.max_cycles)
+
+
 def _stream_bounded(machine, addr):
     """Feed ``addr`` in ``STREAM_CHUNK`` pieces; the last prefix result."""
     sim = StreamSimulator(machine)
@@ -87,23 +105,24 @@ def test_perf_layers():
     rng = np.random.default_rng(DEFAULT_SEED)
     bounded = machine.with_(queue_capacity=CAPACITY)
     layers = {name: {} for name in ("fifo_kernel", "fifo_kernel_shuffled",
-                                    "certificate", "distinct_random",
-                                    "stream_bounded")}
+                                    "certificate", "commit", "world",
+                                    "distinct_random", "stream_bounded")}
     for n in SIZES:
         arrivals, banks = _kernel_inputs(machine, n, rng)
         shuffled = rng.permutation(arrivals)
         s, proj = _certificate_inputs(machine, n)
-        # Sanity, not perf: the projection is well formed and the
-        # certificate answers (a stall cycle or None).
+        # Sanity, not perf: the projection is well formed and
+        # certified, so committing it is the bounded run.
         assert (proj.start >= proj.arrival).all()
-        stall = _first_stall(s, proj)
-        assert stall is None or stall >= 0
+        assert _first_stall(s, proj) is None
 
         layers["fifo_kernel"][n] = _spread(
             fifo_service_times, arrivals, banks, d)
         layers["fifo_kernel_shuffled"][n] = _spread(
             fifo_service_times, shuffled, banks, d)
         layers["certificate"][n] = _spread(_first_stall, s, proj)
+        layers["commit"][n] = _spread(_commit_fresh, s, proj)
+        layers["world"][n] = _spread(_world_run, s)
         layers["distinct_random"][n] = _spread(
             distinct_random, n, DEFAULT_SPACE, DEFAULT_SEED)
 

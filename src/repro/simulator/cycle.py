@@ -1,33 +1,31 @@
 """Cycle-accurate simulator with bounded queues and back-pressure.
 
-Three engines compute the same machine, cycle for cycle:
+Two paths compute the same machine, cycle for cycle:
 
-1. **event** (default) — steps the one pausable event world of
-   :mod:`repro.simulator.world`, fed every request and run to
-   completion.  It executes only the cycles where something can happen
-   (an issue, an arrival, a bank becoming free, a parked processor's
-   retry) and jumps over idle spans, so its work is independent of how
-   many cycles the machine idles — which makes 64K-request sweeps
-   cheap.
-2. **tick** — the original explicit per-cycle loop, advancing one cycle
+1. **tick** — the original explicit per-cycle loop, advancing one cycle
    at a time and scanning every bank each cycle.  It is kept as the
-   obviously-correct, independent reference: the other engines are
+   obviously-correct, independent reference: the projector is
    property-tested to produce bit-identical
    :class:`~repro.simulator.stats.SimResult`\\ s against it across
    every mode (unbounded queues, bounded queues with stall accounting,
    combining, and the bank-cache extension).
-3. **batch** (:mod:`repro.simulator.cycle_batch`) — numpy array stepping:
-   it solves whole stall-free spans with the segmented-cummax projector
-   that :mod:`repro.simulator.banksim` also runs on, and hands the run
-   to the same event world only where queue-full back-pressure actually
-   binds (a sound stall certificate decides which, so the results stay
-   bit-identical, not approximately close).
+2. **the projector** (:mod:`repro.simulator.cycle_batch`), which
+   ``engine="event"`` (the default) and ``engine="batch"`` both name —
+   numpy array stepping: it solves whole stall-free spans with the
+   segmented-cummax projector that :mod:`repro.simulator.banksim` also
+   runs on, and hands the run to the one pausable event world of
+   :mod:`repro.simulator.world` only where queue-full back-pressure
+   actually binds (a sound stall certificate decides which, so the
+   results stay bit-identical, not approximately close).  The world
+   executes only the cycles where something can happen (an issue, an
+   arrival, a bank becoming free, a parked processor's retry) and jumps
+   over idle spans.
 
-Both serve two purposes in the repo:
+The simulator serves two purposes in the repo:
 
-* **Oracle** — with unbounded queues they must produce *exactly* the same
-  completion time as the vectorized simulator (property-tested), which
-  validates the segmented-cummax vectorization.
+* **Oracle** — with unbounded queues ``tick`` must produce *exactly* the
+  same completion time as the vectorized simulator (property-tested),
+  which validates the segmented-cummax vectorization.
 * **Back-pressure ablation** — with a finite per-bank queue capacity a
   processor stalls when its target queue is full, which the (d,x)-BSP
   deliberately does not model.  Comparing the two quantifies how much the
@@ -321,24 +319,6 @@ def _world(s: _Setup) -> EventWorld:
     return world
 
 
-def _run_event(machine: MachineConfig, s: _Setup) -> SimResult:
-    """Event engine: the shared event world, fed every request and run
-    to completion."""
-    acc = _new_acc(s)
-    _world(s).run(acc, s.max_cycles)
-    return _finish(machine, s, "event", acc)
-
-
-def _run_batch(machine: MachineConfig, s: _Setup) -> SimResult:
-    """Dispatch to the vectorized batch engine (imported lazily: the
-    batch module imports this one for the shared setup/epilogue)."""
-    from .cycle_batch import run_batch
-    return run_batch(machine, s)
-
-
-_ENGINES = {"event": _run_event, "tick": _run_tick, "batch": _run_batch}
-
-
 def simulate_scatter_cycle(
     machine: MachineConfig,
     addresses: ArrayLike,
@@ -359,11 +339,11 @@ def simulate_scatter_cycle(
     Parameters
     ----------
     engine:
-        ``"event"`` (default) uses the event-driven engine that skips
-        idle cycles; ``"tick"`` uses the retained per-cycle reference
-        loop; ``"batch"`` uses the vectorized array-stepping engine of
-        :mod:`repro.simulator.cycle_batch`.  All three produce
-        bit-identical results (property-tested).
+        ``"event"`` (default) and ``"batch"`` both run the vectorized
+        projector of :mod:`repro.simulator.cycle_batch`, which steps the
+        event world only where a queue fills; ``"tick"`` uses the
+        retained per-cycle reference loop.  All produce bit-identical
+        results (property-tested).
     max_cycles:
         Runaway guard; defaults to a serialization bound that scales
         with the queue capacity (a bounded hot queue legitimately adds
@@ -379,15 +359,19 @@ def simulate_scatter_cycle(
         only read engine state, so results are bit-identical either way.
     """
     require_machine(machine, "simulate_scatter_cycle")
-    try:
-        run = _ENGINES[engine]
-    except KeyError:
+    names = ("batch", "event", "tick")
+    if engine not in names:
         raise ParameterError(
             f"unknown cycle engine {engine!r}; expected one of "
-            f"{sorted(_ENGINES)}"
-        ) from None
+            f"{list(names)}"
+        )
     s = _prepare(machine, addresses, bank_map, assignment, max_cycles,
                  telemetry, sanitize=sanitize_enabled(sanitize))
     if s.n == 0:
         return _finish(machine, s, engine, _new_acc(s))
-    return run(machine, s)
+    if engine == "tick":
+        return _run_tick(machine, s)
+    # Imported lazily: the batch module imports this one for the shared
+    # setup and epilogue.
+    from .cycle_batch import run_batch
+    return run_batch(machine, s, engine)

@@ -1,11 +1,13 @@
 """Vectorized projection: the one arithmetic behind every engine but
 ``tick``.
 
-The scalar engines in :mod:`repro.simulator.cycle` touch every request
-(event) or every cycle (tick) in Python.  This module instead advances
-the machine in *spans* and solves each span with numpy array stepping,
-for the unbounded-queue simulator (:mod:`repro.simulator.banksim`), for
-one scatter (``engine="batch"``), for a whole stack of them
+The tick loop in :mod:`repro.simulator.cycle` touches every cycle, and
+the event world of :mod:`repro.simulator.world` every request, in
+Python.  This module instead advances the machine in *spans* and solves
+each span with numpy array stepping, for the unbounded-queue simulator
+(:mod:`repro.simulator.banksim`), for one scatter (``engine="event"``
+or ``"batch"``, two names for this one path), for a whole stack of
+them
 (:func:`~repro.simulator.cycle_grid.simulate_scatter_grid`, of which
 the batch engine is the one-row call) and for stream chunks
 (:class:`~repro.simulator.stream.StreamSimulator`, one row with carried
@@ -39,22 +41,21 @@ seeds, certified against the pending requests of earlier chunks):
    wholesale.  Otherwise the earliest offender ``t_stall`` is exact:
    the first real stall, and only that row leaves the projection.
 3. **Fall back, then re-enter.** When back-pressure binds, the shared
-   event world of :mod:`repro.simulator.world` (the ``engine="event"``
-   stepper itself) is fed every request of the row and replays it from
-   cycle 0 — exact, since nothing of it was committed — until either
-   completion or a *quiescent* cycle ``t >= t_stall`` (all queues
-   empty, nothing in flight, nobody blocked).  At quiescence every
-   pending processor's next issue lies strictly in the future, so the
-   world exports the remaining requests, they re-project from the
-   exported seeds and the loop repeats, resuming the same world if the
-   next certificate fails.  Each event chunk strictly passes at least
+   event world of :mod:`repro.simulator.world` is fed every request of
+   the row and replays it from cycle 0 — exact, since nothing of it was
+   committed — until either completion or a *quiescent* cycle ``t >=
+   t_stall`` (all queues empty, nothing in flight, nobody blocked).  At
+   quiescence every pending processor's next issue lies strictly in the
+   future, so the world exports the remaining requests, they
+   re-project from the exported seeds and the loop repeats, resuming
+   the same world if the next certificate fails.  Each event chunk strictly passes at least
    one real stall burst, so the alternation terminates; in the worst
    case (back-pressure never quiesces) the row degrades to a single
-   event-world run — i.e. to the event engine.
+   event-world run fed every request.
 
-Every committed span is exact and the fallback *is* the event engine's
-stepper, so the engine is **bit-identical** to
-``engine="event"``/``"tick"`` — property-tested, including telemetry.
+Every committed span is exact and the fallback is the world's exact
+stepping, so the projector is **bit-identical** to ``engine="tick"``
+and to the world run alone — property-tested, including telemetry.
 Stall-free workloads (the paper's unbounded-queue machines) never leave
 step 1, and banksim, whose queues are unbounded by definition, is step
 1 alone: it projects and commits with no certificate.
@@ -730,29 +731,6 @@ def _settle(s: _Setup, acc: Acc, proj: _Proj) -> Optional[int]:
     return t_stall
 
 
-class _Scalar:
-    """The fallback's handle on the shared event world: fed every
-    request on the first certificate miss, stepped to quiescence past
-    each ``t_stall``, and exported for re-projection."""
-
-    __slots__ = ("world",)
-
-    def __init__(self, s: _Setup) -> None:
-        self.world = _world(s)
-
-    def run(self, s: _Setup, acc: Acc, t_stall: int) -> bool:
-        """Step until completion (``True``) or until the machine goes
-        quiescent at a cycle ``>= t_stall`` (``False``), i.e. safely
-        past the span where the projection's certificate failed."""
-        return self.world.run(acc, s.max_cycles, t_stall=t_stall)
-
-    def export(self, s: _Setup) -> Tuple[_Work, np.ndarray, np.ndarray]:
-        """Remaining requests, bank floors and row-buffer seeds as
-        projection inputs (see :meth:`EventWorld.export`)."""
-        work, floors, last_addr = self.world.export()
-        return _survivors(*work), floors, last_addr
-
-
 def _fold_rows(setups: Sequence[_Setup]) -> List[Tuple[Acc, Optional[int]]]:
     """Project every row, stacking rows with one survivor count into one
     kernel call, and commit each row whose certificate holds.
@@ -785,21 +763,22 @@ def _fall_back(s: _Setup, acc: Acc, t_stall: int) -> None:
     event world replays it to quiescence past each failure and the
     remainder re-projects from the exported seeds, until the world
     completes or a certificate holds."""
-    scalar = _Scalar(s)
-    while not scalar.run(s, acc, t_stall):
-        work, floors, last_addr = scalar.export(s)
-        (proj,) = _project((s,), (work,), floors, last_addr)
+    world = _world(s)
+    while not world.run(acc, s.max_cycles, t_stall=t_stall):
+        work, floors, last_addr = world.export()
+        (proj,) = _project((s,), (_survivors(*work),), floors, last_addr)
         stall = _settle(s, acc, proj)
         if stall is None:
             return
         t_stall = stall
 
 
-def run_batch(machine: MachineConfig, s: _Setup) -> SimResult:
+def run_batch(machine: MachineConfig, s: _Setup, engine: str) -> SimResult:
     """Engine body invoked by :func:`~repro.simulator.cycle.
-    simulate_scatter_cycle` with ``engine="batch"``: the one-row call of
-    the grid's project -> certify -> fall back loop."""
+    simulate_scatter_cycle` with ``engine="event"`` or ``"batch"``: the
+    one-row call of the grid's project -> certify -> fall back loop.
+    ``engine`` only names the result for the sanitizer."""
     ((acc, t_stall),) = _fold_rows((s,))
     if t_stall is not None:
         _fall_back(s, acc, t_stall)
-    return _finish(machine, s, "batch", acc)
+    return _finish(machine, s, engine, acc)

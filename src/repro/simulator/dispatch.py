@@ -1,8 +1,10 @@
 """One entry point over every scatter engine, selected by name.
 
-The repository grew four bit-identical ways to simulate the same
+The repository names four bit-identical ways to simulate the same
 superstep: the vectorized unbounded-queue engine (``banksim``) and the
-cycle simulator's ``tick``, ``event`` and ``batch`` engines.  Callers
+cycle simulator's ``tick``, ``event`` and ``batch`` engines, the last
+two names for one path (the projector, which steps the event world
+only where a bank queue fills).  Callers
 that take the engine as *data* — the prediction service
 (:mod:`repro.serving`), the analysis comparisons, parametrized tests —
 resolve it here instead of each re-implementing the name → function
@@ -26,7 +28,8 @@ __all__ = ["ENGINES", "simulate_scatter_engine"]
 
 #: Every engine name accepted by :func:`simulate_scatter_engine`, in the
 #: order they were introduced.  All four are property-tested to produce
-#: bit-identical results under unbounded queues.
+#: bit-identical results under unbounded queues; ``"event"`` and
+#: ``"batch"`` run the same code.
 ENGINES = ("banksim", "tick", "event", "batch")
 
 

@@ -35,7 +35,7 @@ the queue high-water sweep of events that straddle the seam.
 
 The first chunk whose certificate fails is not committed: the session
 moves into the one event world of :mod:`repro.simulator.world` (the
-``engine="event"`` stepper itself), seeded from the carry at the last
+projector's own fallback stepper), seeded from the carry at the last
 horizon instead of replayed from cycle 0 (:meth:`EventWorld.seed`), and
 stays there.  The world stops at each new horizon (any cycle before it
 can only involve fed requests, so processing it early is safe and

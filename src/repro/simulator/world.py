@@ -7,12 +7,13 @@ becoming free, a parked processor's retry) and jumps over the rest.
 It is *pausable*: requests are fed incrementally, and :meth:`EventWorld.
 run` steps to completion, to an exclusive horizon, or to the first
 quiescent cycle at or after a given cycle, keeping the machine state on
-the instance between calls.  Its three callers:
+the instance between calls.  Its two callers step it only where a bank
+queue fills:
 
-* ``engine="event"`` feeds every request and runs to completion (a
-  one-shot run is a one-chunk stream);
-* the batch engine's back-pressure fallback runs it to quiescence and
-  exports the remaining requests for vectorized re-projection;
+* the projector's back-pressure fallback (``engine="event"`` or
+  ``"batch"``, and a stalled grid row) feeds it every request of the row
+  after a failed stall certificate, runs it to quiescence and exports
+  the remaining requests for vectorized re-projection;
 * a bounded-queue :class:`~repro.simulator.stream.StreamSimulator`
   builds it with :meth:`EventWorld.seed` from its committed carry at the
   first chunk whose stall certificate fails, then runs every chunk to

@@ -1,6 +1,6 @@
 """Tests for the cycle-accurate simulator, including exact equivalence
-with the vectorized simulator under unbounded queues (the key validation
-of the segmented-cummax fast path)."""
+of the event world with the vectorized simulator under unbounded queues
+(the key validation of the segmented-cummax fast path)."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from repro.simulator import (
     toy_machine,
 )
 from repro.workloads import broadcast, hotspot, uniform_random
+
+from .world_reference import world_run
 
 
 class TestBasics:
@@ -77,15 +79,14 @@ class TestEquivalenceWithVectorized:
             else uniform_random(n, 1 << 16, seed=seed)
         )
         fast = simulate_scatter(m, addr, assignment=assignment)
-        slow = simulate_scatter_cycle(m, addr, assignment=assignment)
+        slow = world_run(m, addr, assignment=assignment)
         assert fast.time == slow.time
         assert (fast.bank_loads == slow.bank_loads).all()
 
     def test_agreement_with_L(self):
         m = toy_machine(L=50)
         addr = uniform_random(300, 1 << 16, seed=9)
-        assert simulate_scatter(m, addr).time == \
-            simulate_scatter_cycle(m, addr).time
+        assert simulate_scatter(m, addr).time == world_run(m, addr).time
 
 
 class TestBoundedQueues:

@@ -1,12 +1,13 @@
-"""Batch engine vs event engine — exact equivalence.
+"""Projector vs a direct event-world run — exact equivalence.
 
-The vectorized batch engine in :mod:`repro.simulator.cycle_batch` must
-be bit-identical to the event engine for *every* simulator mode:
-unbounded queues, bounded queues with backpressure stalls (where it
-falls back to exact scalar stepping between quiescent points),
-combining, and the cache-hit (row buffer) extension.  These properties
-are the contract that lets the batch engine carry the big sweeps while
-the scalar engines stay as executable documentation.
+The vectorized projector in :mod:`repro.simulator.cycle_batch`, which
+``engine="batch"`` and ``engine="event"`` both run, must be
+bit-identical to the event world of :mod:`repro.simulator.world` fed
+every request and run to completion (:func:`.world_reference.world_run`)
+for *every* simulator mode: unbounded queues, bounded queues with
+backpressure stalls (where the projector falls back to exact scalar
+stepping between quiescent points), combining, and the cache-hit (row
+buffer) extension.
 """
 
 import numpy as np
@@ -21,7 +22,11 @@ from repro.simulator import (
     toy_machine,
 )
 from repro.simulator import cycle_batch
+from repro.simulator.machine import CRAY_J90
+from repro.simulator.world import EventWorld
 from repro.workloads import broadcast, hotspot, uniform_random
+
+from .world_reference import world_run
 
 
 def _machines():
@@ -69,13 +74,13 @@ def _assert_identical(a, b):
 def _both(machine, addr, **kwargs):
     return (
         simulate_scatter_cycle(machine, addr, engine="batch", **kwargs),
-        simulate_scatter_cycle(machine, addr, engine="event", **kwargs),
+        world_run(machine, addr, **kwargs),
     )
 
 
 class TestBatchMatchesEvent:
     """Randomized configs across all modes: the batch engine must
-    reproduce the event engine's results field for field."""
+    reproduce a direct world run's results field for field."""
 
     @given(
         machine=_machines(),
@@ -89,47 +94,48 @@ class TestBatchMatchesEvent:
     def test_exact_agreement(self, machine, n, hot, seed, assignment,
                              telemetry):
         addr = _pattern(n, hot, seed)
-        batch, event = _both(machine, addr, assignment=assignment,
+        batch, world = _both(machine, addr, assignment=assignment,
                              telemetry=telemetry)
-        _assert_identical(batch, event)
+        _assert_identical(batch, world)
 
     def test_empty(self):
         m = toy_machine(L=7)
-        batch, event = _both(m, [])
-        _assert_identical(batch, event)
+        batch, world = _both(m, [])
+        _assert_identical(batch, world)
         assert batch.time == 7
 
     def test_single_bank(self):
         # Everything serializes through one bank: the segmented kernel
         # degenerates to one segment.
         m = toy_machine(p=1, x=1, d=6)
-        batch, event = _both(m, uniform_random(200, 1 << 10, seed=3))
-        _assert_identical(batch, event)
+        batch, world = _both(m, uniform_random(200, 1 << 10, seed=3))
+        _assert_identical(batch, world)
 
     def test_capacity_one(self):
         # The tightest possible queue bound: backpressure binds almost
         # immediately, so nearly the whole run is scalar fallback.
         m = toy_machine(p=4, x=4, d=6, queue_capacity=1)
-        batch, event = _both(m, broadcast(200, 5), telemetry=True)
+        batch, world = _both(m, broadcast(200, 5), telemetry=True)
         assert batch.stalled_cycles > 0
-        _assert_identical(batch, event)
+        _assert_identical(batch, world)
 
     def test_backpressure_forces_scalar_fallback(self, monkeypatch):
         # The stall certificate must actually fire here — the result
         # must come through the scalar stepper, not the projection.
         calls = {"run": 0}
-        orig = cycle_batch._Scalar.run
+        orig = EventWorld.run
 
-        def spy(self, s, acc, t_stall):
+        def spy(self, *args, **kwargs):
             calls["run"] += 1
-            return orig(self, s, acc, t_stall)
+            return orig(self, *args, **kwargs)
 
-        monkeypatch.setattr(cycle_batch._Scalar, "run", spy)
+        monkeypatch.setattr(EventWorld, "run", spy)
         m = toy_machine(p=4, x=2, d=6, queue_capacity=1)
-        batch, event = _both(m, broadcast(120, 3))
-        assert calls["run"] >= 1
+        addr = broadcast(120, 3)
+        batch = simulate_scatter_cycle(m, addr, engine="batch")
+        assert calls["run"] >= 1  # counted before the reference runs
         assert batch.stalled_cycles > 0
-        _assert_identical(batch, event)
+        _assert_identical(batch, world_run(m, addr))
 
     def test_quiescence_reprojection_seam(self, monkeypatch):
         # A bursty bounded-queue run that goes scalar, drains to a
@@ -138,13 +144,13 @@ class TestBatchMatchesEvent:
         # proves the export seam fires; the comparison proves it is
         # exact across it.
         calls = {"export": 0}
-        orig = cycle_batch._Scalar.export
+        orig = EventWorld.export
 
-        def spy(self, s):
+        def spy(self):
             calls["export"] += 1
-            return orig(self, s)
+            return orig(self)
 
-        monkeypatch.setattr(cycle_batch._Scalar, "export", spy)
+        monkeypatch.setattr(EventWorld, "export", spy)
         rng = np.random.default_rng(11)
         n = 120
         addr = np.concatenate([
@@ -152,9 +158,9 @@ class TestBatchMatchesEvent:
             rng.integers(0, 1 << 12, n - n // 2),
         ])
         m = toy_machine(p=3, x=1, d=2, g=2, latency=0, queue_capacity=2)
-        batch, event = _both(m, addr, telemetry=True)
+        batch, world = _both(m, addr, telemetry=True)
         assert calls["export"] >= 1
-        _assert_identical(batch, event)
+        _assert_identical(batch, world)
 
     def test_unbounded_never_goes_scalar(self, monkeypatch):
         # Without a queue bound there is no stall certificate to trip:
@@ -162,13 +168,29 @@ class TestBatchMatchesEvent:
         def boom(*args, **kwargs):
             raise AssertionError("scalar fallback on an unbounded run")
 
-        monkeypatch.setattr(cycle_batch, "_Scalar", boom)
+        monkeypatch.setattr(cycle_batch, "_world", boom)
         m = toy_machine(p=8, x=2, d=6, latency=5)
-        batch = simulate_scatter_cycle(m, hotspot(5000, 5000, 1 << 16,
-                                                  seed=2), engine="batch")
-        event = simulate_scatter_cycle(m, hotspot(5000, 5000, 1 << 16,
-                                                  seed=2), engine="event")
-        _assert_identical(batch, event)
+        addr = hotspot(5000, 5000, 1 << 16, seed=2)
+        batch = simulate_scatter_cycle(m, addr, engine="batch")
+        _assert_identical(batch, world_run(m, addr))
+
+    def test_stall_free_bounded_event_never_runs_the_world(self,
+                                                           monkeypatch):
+        # The served cold-mix deck's stall-free shape: a uniform
+        # 4,096-address row on the capacity-8 J90.  The certificate
+        # holds, so engine="event" commits the projection whole.
+        m = CRAY_J90.with_(queue_capacity=8)
+        addr = uniform_random(4096, 1 << 24, seed=11)
+        want = world_run(m, addr, telemetry=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the event world ran")
+
+        monkeypatch.setattr(EventWorld, "run", refuse)
+        got = simulate_scatter_cycle(m, addr, engine="event",
+                                     telemetry=True)
+        assert got.stalled_cycles == 0
+        _assert_identical(got, want)
 
 
 class TestBatchEntryPoint:
@@ -181,25 +203,28 @@ class TestBatchEntryPoint:
         )
 
     def test_runaway_parity(self):
-        # Both engines must reject the same budget the same way.
+        # The engine and the world must reject the same budget the same
+        # way.
         m = toy_machine(p=2, x=1, d=6)
         addr = broadcast(500, 4)
-        for engine in ("batch", "event"):
-            with pytest.raises(SimulationError):
-                simulate_scatter_cycle(m, addr, max_cycles=30, engine=engine)
+        with pytest.raises(SimulationError):
+            simulate_scatter_cycle(m, addr, max_cycles=30, engine="batch")
+        with pytest.raises(SimulationError):
+            world_run(m, addr, max_cycles=30)
 
     def test_runaway_bounded_parity(self):
         m = toy_machine(p=4, x=4, d=6, queue_capacity=1)
         addr = broadcast(200, 5)
-        for engine in ("batch", "event"):
-            with pytest.raises(SimulationError):
-                simulate_scatter_cycle(m, addr, max_cycles=50, engine=engine)
+        with pytest.raises(SimulationError):
+            simulate_scatter_cycle(m, addr, max_cycles=50, engine="batch")
+        with pytest.raises(SimulationError):
+            world_run(m, addr, max_cycles=50)
 
 
 class TestBatchOnExperimentGrids:
-    """Sanitized smoke grids of the paper's three experiments: the
-    tentpole acceptance bar — batch must be bit-identical to event on
-    every point, with the conservation sanitizer enabled."""
+    """Sanitized smoke grids of the paper's three experiments: batch
+    must be bit-identical to a direct world run on every point, with
+    the conservation sanitizer enabled."""
 
     def test_exp1_hotspot_grid(self):
         from repro.experiments.common import j90
@@ -207,8 +232,8 @@ class TestBatchOnExperimentGrids:
         n, space = 1024, 1 << 20
         for k in (1, 4, 32, 256, n):
             addr = hotspot(n, k, space, seed=1995)
-            batch, event = _both(m, addr, sanitize=True, telemetry=True)
-            _assert_identical(batch, event)
+            batch, world = _both(m, addr, sanitize=True, telemetry=True)
+            _assert_identical(batch, world)
 
     def test_exp2_multihot_grid(self):
         from repro.experiments.common import j90
@@ -217,17 +242,17 @@ class TestBatchOnExperimentGrids:
         n, space = 1024, 1 << 20
         for n_hot, fraction in ((1, 0.25), (4, 0.5), (16, 0.9)):
             addr = multi_hotspot(n, n_hot, fraction, space, seed=1995)
-            batch, event = _both(m, addr, sanitize=True, telemetry=True)
-            _assert_identical(batch, event)
+            batch, world = _both(m, addr, sanitize=True, telemetry=True)
+            _assert_identical(batch, world)
 
     def test_exp3_entropy_grid(self):
         from repro.experiments.common import j90
         from repro.workloads.entropy import entropy_family
         m = j90()
         for keys in entropy_family(1024, 10, 4, seed=1995):
-            batch, event = _both(m, np.asarray(keys), sanitize=True,
+            batch, world = _both(m, np.asarray(keys), sanitize=True,
                                  telemetry=True)
-            _assert_identical(batch, event)
+            _assert_identical(batch, world)
 
 
 class TestFifoOrder:

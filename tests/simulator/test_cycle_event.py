@@ -1,6 +1,7 @@
 """Event engine vs reference tick loop — exact equivalence.
 
-The event-driven engine in :mod:`repro.simulator.cycle` must be
+``engine="event"`` (the projector of :mod:`repro.simulator.cycle_batch`,
+stepping the event world only where a queue fills) must be
 bit-identical to the retained per-cycle reference loop for *every*
 simulator mode: unbounded queues, bounded queues with stall accounting,
 combining, and the cache-hit (row buffer) extension.  These properties
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from repro.errors import ParameterError
 from repro.simulator import simulate_scatter, simulate_scatter_cycle, toy_machine
 from repro.workloads import broadcast, hotspot, uniform_random
+
+from .world_reference import world_run
 
 
 def _machines(draw_none_capacity=True):
@@ -109,8 +112,8 @@ class TestEventMatchesTick:
 
 
 class TestEventMatchesVectorized:
-    """With unbounded queues the event engine must also agree with the
-    vectorized :func:`simulate_scatter`."""
+    """With unbounded queues the event world, run alone, must also
+    agree with the vectorized :func:`simulate_scatter`."""
 
     @given(
         machine=_machines(draw_none_capacity=False),
@@ -123,8 +126,7 @@ class TestEventMatchesVectorized:
     def test_unbounded_agreement(self, machine, n, hot, seed, assignment):
         addr = _pattern(n, hot, seed)
         fast = simulate_scatter(machine, addr, assignment=assignment)
-        event = simulate_scatter_cycle(machine, addr, assignment=assignment,
-                                       engine="event")
+        event = world_run(machine, addr, assignment=assignment)
         assert event.time == fast.time
         assert (event.bank_loads == fast.bank_loads).all()
 
@@ -136,8 +138,8 @@ class TestEngineSelection:
 
     def test_default_is_event(self):
         # The default engine must handle a pattern large enough that the
-        # tick loop would be visibly slow — smoke proof it's the event
-        # path (completes instantly) and still agrees with banksim.
+        # tick loop would be visibly slow — smoke proof it is not the
+        # tick path (completes instantly) and still agrees with banksim.
         m = toy_machine(p=8, x=2, d=6)
         addr = hotspot(20_000, 20_000, 1 << 20, seed=1)
         res = simulate_scatter_cycle(m, addr)

@@ -3,11 +3,12 @@
 The fused grid pass in :mod:`repro.simulator.cycle_grid` stacks a whole
 parameter sweep into one batched kernel call; its contract is that each
 returned result is **bit-identical** to simulating that row alone with
-``engine="batch"`` (equivalently ``"event"``).  These tests drive the
-contract across mixed machines, mixed patterns, ragged and empty rows,
-telemetry/sanitize on and off, and grids where bounded-queue
+``engine="batch"`` (equivalently ``"event"``) and to a direct run of the
+event world (:func:`.world_reference.world_run`).  These tests drive
+the contract across mixed machines, mixed patterns, ragged and empty
+rows, telemetry/sanitize on and off, and grids where bounded-queue
 back-pressure forces *some* points (and only those) through the
-per-point event-engine fallback.
+per-point event-world fallback.
 """
 
 import numpy as np
@@ -26,6 +27,8 @@ from repro.simulator import (
 from repro.simulator import cycle_grid
 from repro.workloads import broadcast, hotspot, uniform_random
 from repro.workloads.patterns import multi_hotspot
+
+from .world_reference import world_run
 
 
 def _machines():
@@ -81,14 +84,15 @@ def _assert_grid_matches_per_point(machines, patterns, **kwargs):
     fused = simulate_scatter_grid(machines, patterns, **kwargs)
     assert len(fused) == len(patterns)
     for got, m, addr in zip(fused, machines, patterns):
-        for engine in ("batch", "event"):
-            alone = simulate_scatter_cycle(m, addr, engine=engine, **kwargs)
-            _assert_identical(got, alone)
+        _assert_identical(
+            got, simulate_scatter_cycle(m, addr, engine="batch", **kwargs))
+        _assert_identical(got, world_run(m, addr, **kwargs))
 
 
 class TestGridMatchesPerPoint:
     """Randomized mixed grids: every fused row must reproduce its
-    stand-alone batch and event engine results field for field."""
+    stand-alone batch engine result and a direct world run field for
+    field."""
 
     @given(
         rows=st.lists(
@@ -179,9 +183,7 @@ class TestStallFallbackScoping:
         assert any(m is stalling for m in fell_back)
         assert all(m is not free for m in fell_back)
         for got, m, addr in zip(fused, machines, patterns):
-            _assert_identical(
-                got, simulate_scatter_cycle(m, addr, engine="event",
-                                            telemetry=True))
+            _assert_identical(got, world_run(m, addr, telemetry=True))
 
     def test_certified_bounded_rows_stay_fused(self, monkeypatch):
         # A bounded machine whose queues never fill: the certificate
@@ -209,8 +211,7 @@ class TestGridParameters:
         ok = uniform_random(16, 1 << 16, seed=0)
         out = simulate_scatter_grid(m, [ok, addr],
                                     max_cycles=[None, 100_000])
-        _assert_identical(
-            out[1], simulate_scatter_cycle(m, addr, engine="event"))
+        _assert_identical(out[1], world_run(m, addr))
 
     def test_per_row_length_mismatch(self):
         m = toy_machine()

@@ -17,6 +17,8 @@ from repro.simulator import (
 )
 from repro.workloads import broadcast, hotspot, uniform_random
 
+from .world_reference import world_run
+
 
 class TestCombining:
     def test_broadcast_nearly_free(self):
@@ -109,8 +111,8 @@ class TestCachedBanks:
 
 
 class TestExtensionEquivalence:
-    """The cycle-accurate simulator must agree exactly with the
-    vectorized one under both extensions."""
+    """The cycle-accurate event world must agree exactly with the
+    vectorized simulator under both extensions."""
 
     @given(
         n=st.integers(1, 200),
@@ -131,7 +133,7 @@ class TestExtensionEquivalence:
             else uniform_random(n, 1 << 14, seed=seed)
         )
         fast = simulate_scatter(m, addr)
-        slow = simulate_scatter_cycle(m, addr)
+        slow = world_run(m, addr)
         assert fast.time == slow.time
         assert (fast.bank_loads == slow.bank_loads).all()
         assert fast.max_wait == slow.max_wait

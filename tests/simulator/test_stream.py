@@ -19,12 +19,13 @@ from repro.errors import ParameterError
 from repro.simulator import (
     StreamSimulator,
     simulate_scatter,
-    simulate_scatter_cycle,
     simulate_scatter_engine,
     simulate_scatter_stream,
     toy_machine,
 )
 from repro.workloads import broadcast, hotspot, strided, uniform_random
+
+from .world_reference import world_run
 
 
 def _machines():
@@ -113,10 +114,8 @@ class TestPrefixBitIdentity:
             fed += block.size
             assert update.n == fed
             assert update.conserved
-            expected = simulate_scatter_cycle(
-                machine, addr[:fed], engine="event", telemetry=telemetry,
-                sanitize=sanitize,
-            )
+            expected = world_run(machine, addr[:fed], telemetry=telemetry,
+                                 sanitize=sanitize)
             _assert_identical(update.result, expected)
 
     @given(
@@ -149,9 +148,7 @@ class TestPrefixBitIdentity:
         sim = StreamSimulator(machine, telemetry=True)
         for i in range(addr.size):
             update = sim.feed(addr[i:i + 1])
-            expected = simulate_scatter_cycle(
-                machine, addr[:i + 1], engine="event", telemetry=True,
-            )
+            expected = world_run(machine, addr[:i + 1], telemetry=True)
             _assert_identical(update.result, expected)
         assert update.result.stalled_cycles > 0
 
@@ -174,8 +171,7 @@ class TestPrefixBitIdentity:
         machine = toy_machine(p=4, x=2, d=6, L=7)
         sim = StreamSimulator(machine, telemetry=True)
         update = sim.feed([])
-        expected = simulate_scatter_cycle(machine, [], engine="event",
-                                          telemetry=True)
+        expected = world_run(machine, [], telemetry=True)
         _assert_identical(update.result, expected)
         assert update.result.time == 7.0
         # An empty feed between real ones changes nothing.
@@ -197,10 +193,7 @@ class TestStreamGenerator:
                                                chunk_size=97))
         assert len(updates) == 8
         assert updates[-1].n == 1000
-        _assert_identical(
-            updates[-1].result,
-            simulate_scatter_cycle(machine, addr, engine="event"),
-        )
+        _assert_identical(updates[-1].result, world_run(machine, addr))
 
     def test_array_input_chunked(self):
         machine = toy_machine(p=2, x=2, d=2)
@@ -223,8 +216,7 @@ class TestStreamGenerator:
         _assert_identical(
             simulate_scatter_engine(machine, addr, engine="stream",
                                     telemetry=True),
-            simulate_scatter_engine(machine, addr, engine="event",
-                                    telemetry=True),
+            world_run(machine, addr, telemetry=True),
         )
 
 
@@ -336,8 +328,7 @@ class TestDigestAndCheckpoint:
         update = resumed.feed(addr[250:])
         _assert_identical(
             update.result,
-            simulate_scatter_cycle(machine, addr, engine="event",
-                                   telemetry=True),
+            world_run(machine, addr, telemetry=True),
         )
         fresh = StreamSimulator(machine, telemetry=True, max_chunk=64)
         fresh.feed(addr)

@@ -14,12 +14,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import StreamSimulator, simulate_scatter_cycle, toy_machine
+from repro.simulator import StreamSimulator, toy_machine
 from repro.simulator.machine import CRAY_J90
 from repro.simulator.world import EventWorld
 from repro.workloads import broadcast, uniform_random
 
 from .test_world_vs_tick import _assert_identical, _chunks, _tick
+from .world_reference import world_run
 
 
 def _bounded_machines():
@@ -130,7 +131,7 @@ class TestCertifiedBoundedStream:
         monkeypatch.undo()
         _assert_identical(
             update.result,
-            simulate_scatter_cycle(m, addr, engine="event", telemetry=True),
+            world_run(m, addr, telemetry=True),
         )
 
     def test_pending_set_is_only_the_backlog(self):

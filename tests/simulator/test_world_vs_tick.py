@@ -1,15 +1,17 @@
 """The shared event world and the shared projector against the
 independent tick oracle.
 
-``engine="event"``, the batch engine's back-pressure fallback and
-bounded-queue stream chunks all step the one event world of
-:mod:`repro.simulator.world`; the batch engine, the grid (of which
-batch is the one-row call) and unbounded stream chunks all project and
-commit through :mod:`repro.simulator.cycle_batch`.  Comparing those
-paths with each other only checks the shared code against itself, so
-``engine="tick"`` is the one independent oracle left: every check here
-compares with it, telemetry on, including the per-processor stall
-counts the world accrues in closed form for parked processors.
+``engine="event"`` and ``engine="batch"``, the grid (of which they are
+the one-row call) and every stream chunk project and commit through
+:mod:`repro.simulator.cycle_batch`; the one event world of
+:mod:`repro.simulator.world` steps only a row whose stall certificate
+failed and a bounded stream from its first stalled chunk on.  Comparing
+those paths with each other only checks the shared code against
+itself, so ``engine="tick"`` is the one independent oracle left: every
+check here compares with it, telemetry on, including the per-processor
+stall counts the world accrues in closed form for parked processors.
+The world is also checked on its own, fed every request and run to
+completion, since no engine runs it that way any more.
 """
 
 import numpy as np
@@ -25,12 +27,13 @@ from repro.simulator import (
     simulate_scatter_grid,
     toy_machine,
 )
-from repro.simulator import cycle_batch
 from repro.simulator.machine import CRAY_J90
+from repro.simulator.world import EventWorld
 from repro.workloads import broadcast, hotspot, uniform_random
 from repro.workloads.patterns import zipf_pattern
 
 from .test_cycle_batch import _machines, _pattern
+from .world_reference import world_run
 
 
 def _assert_identical(a, b):
@@ -64,6 +67,26 @@ def _chunks(addr, cuts):
 
 
 class TestEveryPathMatchesTick:
+    @given(
+        machine=_machines(),
+        n=st.integers(1, 300),
+        hot=st.integers(0, 120),
+        seed=st.integers(0, 10_000),
+        assignment=st.sampled_from(["round_robin", "block"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_world_run_to_completion(self, machine, n, hot, seed,
+                                     assignment):
+        # The stepper alone, with no projection in front of it: every
+        # mode _machines() draws (capacity-1 queues, combining, row
+        # buffers) under both assignments.
+        addr = _pattern(n, hot, seed)
+        _assert_identical(
+            world_run(machine, addr, assignment=assignment,
+                      telemetry=True),
+            _tick(machine, addr, assignment=assignment),
+        )
+
     @given(
         machine=_machines(),
         n=st.integers(1, 300),
@@ -138,19 +161,18 @@ class TestWorldSeams:
         # the certificate, the world drains it to quiescence and
         # exports, and the next burst resumes the same world.
         calls = {"run": 0, "export": 0}
-        orig_run, orig_export = cycle_batch._Scalar.run, \
-            cycle_batch._Scalar.export
+        orig_run, orig_export = EventWorld.run, EventWorld.export
 
-        def run_spy(self, s, acc, t_stall):
+        def run_spy(self, *args, **kwargs):
             calls["run"] += 1
-            return orig_run(self, s, acc, t_stall)
+            return orig_run(self, *args, **kwargs)
 
-        def export_spy(self, s):
+        def export_spy(self):
             calls["export"] += 1
-            return orig_export(self, s)
+            return orig_export(self)
 
-        monkeypatch.setattr(cycle_batch._Scalar, "run", run_spy)
-        monkeypatch.setattr(cycle_batch._Scalar, "export", export_spy)
+        monkeypatch.setattr(EventWorld, "run", run_spy)
+        monkeypatch.setattr(EventWorld, "export", export_spy)
         m, addr = _three_bursts()
         batch = _engine(m, addr, "batch")
         assert calls["export"] >= 3 and calls["run"] >= 3
@@ -162,13 +184,13 @@ class TestWorldSeams:
         # the bounded row leaves the fused projection and resumes one
         # world across every seam; the unbounded row stays committed.
         calls = {"export": 0}
-        orig_export = cycle_batch._Scalar.export
+        orig_export = EventWorld.export
 
-        def export_spy(self, s):
+        def export_spy(self):
             calls["export"] += 1
-            return orig_export(self, s)
+            return orig_export(self)
 
-        monkeypatch.setattr(cycle_batch._Scalar, "export", export_spy)
+        monkeypatch.setattr(EventWorld, "export", export_spy)
         m, addr = _three_bursts()
         machines = [m, m.with_(queue_capacity=None)]
         fused = simulate_scatter_grid(machines, [addr, addr],

@@ -6,11 +6,12 @@ previous accepted runs stored next to them as ``*.prev.json``:
 
 * ``BENCH_cycle_engine.json`` (written by
   ``pytest benchmarks/test_perf_cycle_engine.py``) — gates the event
-  and batch cycle engines, on the unbounded hot-spot scatter and on
-  the bounded stall path (``event_bounded_seconds``,
-  ``batch_bounded_seconds``), plus the fused whole-grid pass
-  (``grid_fused_seconds``) and a fused grid whose bounded rows fall
-  back (``grid_bounded_seconds``);
+  world stepped alone (``event_seconds``, ``event_bounded_seconds``)
+  and the batch projector, which ``engine="event"`` also runs
+  (``batch_seconds``, ``batch_bounded_seconds``), on the unbounded
+  hot-spot scatter and on the bounded stall path, plus the fused
+  whole-grid pass (``grid_fused_seconds``) and a fused grid whose
+  bounded rows fall back (``grid_bounded_seconds``);
 * ``BENCH_banksim.json`` (written by
   ``pytest benchmarks/test_perf_banksim.py``) — gates the segmented
   FIFO kernel and the closed-form scatter path;
