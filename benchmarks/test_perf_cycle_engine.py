@@ -18,8 +18,9 @@ projector-over-world speedup, saves the paper-style comparison under
 ``tools/perf_guard.py`` (``event_seconds`` is the world's timing).  A
 second case times the stall path: a bounded J90 zipf scatter where
 back-pressure binds, so the world parks processors and the projector
-falls back to it, plus a fused grid whose bounded rows take that
-fallback from inside the grid.
+takes its reduced run (the world steps only the banks that fill, and
+the rest of the row is projected around them), plus a fused grid
+whose bounded rows take that fallback from inside the grid.
 """
 
 import json
@@ -135,9 +136,12 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
     """The stall path, shaped like the served cold-mix deck's bounded
     entry: J90 with ``queue_capacity=8``, zipf (alpha 1.2) at n = 4096
     through the ``h1`` hash map.  Back-pressure binds for most of the
-    run, so the world stepped alone parks processors behind full queues
-    and ``batch`` fails its stall certificate and falls back to the
-    world.  Asserts bit-identity with ``tick``.
+    run, so the world stepped alone parks processors behind full queues.
+    ``batch`` fails its stall certificate and takes the reduced run: the
+    world steps only the banks the certificate flagged and the other
+    banks are projected from the issue cycles its stall log rebuilds.
+    Asserts bit-identity with ``tick``, and that the reduced run beats
+    the world stepped alone.
 
     Then a fused grid of 8 rows, zipf seeds 0-7 through the same map,
     alternating the bounded J90 (even rows) with the unbounded one (odd
@@ -168,6 +172,7 @@ def test_perf_cycle_engine_bounded(benchmark, save_result):
         assert fast.mean_wait == tick.mean_wait
         assert fast.max_wait == tick.max_wait
     assert event.telemetry is None and batch.telemetry is None
+    assert batch_s < event_s  # stepping part of the row beats all of it
 
     machines = [machine if r % 2 == 0 else j90()
                 for r in range(GRID_BOUNDED_ROWS)]

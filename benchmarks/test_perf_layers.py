@@ -9,14 +9,19 @@ addresses, so a regression names its layer and the scaling shows:
 * ``fifo_kernel_shuffled`` — the same arrivals in random order (the
   shape block assignment and section-link output hand the kernel);
 * ``certificate`` — the bounded stall certificate
-  (``cycle_batch._first_stall``) on a J90 with ``queue_capacity=8``
-  over a uniform scatter's projection;
+  (``cycle_batch._full_banks``) on a J90 with ``queue_capacity=8``
+  over a uniform scatter's projection (every wait is within the wait
+  bound, so it never sorts or searches);
 * ``commit`` — ``cycle_batch._commit`` of that certified projection
   into a fresh accumulator;
 * ``world`` — the event world the projector falls back to, built for
   the same bounded scatter, fed every request and run to completion
   (the scatter never stalls, so a projected run never gets here; this
   times the stepper alone);
+* ``fallback`` — ``cycle_batch._fall_back``, the reduced run, on the
+  served cold-mix deck's stalling shape: a zipf (alpha 1.2) scatter
+  through the ``h1`` hash map on the same bounded J90, started from
+  the banks its failed certificate flags;
 * ``distinct_random`` — the sparse-space distinct-address draw behind
   ``hotspot`` and ``multi_hotspot``, in the serving layer's default
   address space;
@@ -38,12 +43,14 @@ import time
 import numpy as np
 
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_SPACE, j90
+from repro.mapping.hashing import HASH_FAMILIES
 from repro.simulator import StreamSimulator, fifo_service_times
 from repro.simulator import simulate_scatter_cycle
 from repro.simulator.cycle import _new_acc, _prepare, _world
-from repro.simulator.cycle_batch import (_commit, _first_stall, _project,
-                                         _survivors)
+from repro.simulator.cycle_batch import (_commit, _fall_back, _full_banks,
+                                         _project, _survivors)
 from repro.workloads import distinct_random, uniform_random
+from repro.workloads.patterns import zipf_pattern
 
 BENCH_JSON = pathlib.Path(__file__).parents[1] / "BENCH_layers.json"
 
@@ -71,10 +78,9 @@ def _kernel_inputs(machine, n, rng):
     return arrivals, banks
 
 
-def _certificate_inputs(machine, n):
-    s = _prepare(machine.with_(queue_capacity=CAPACITY),
-                 uniform_random(n, DEFAULT_SPACE, seed=DEFAULT_SEED),
-                 None, "round_robin", None)
+def _certificate_inputs(machine, addr, bank_map=None):
+    s = _prepare(machine.with_(queue_capacity=CAPACITY), addr, bank_map,
+                 "round_robin", None)
     work = _survivors(s.batch.issue, s.banks, s.batch.addresses, None)
     (proj,) = _project((s,), (work,))
     return s, proj
@@ -104,29 +110,36 @@ def test_perf_layers():
     d = float(machine.d)
     rng = np.random.default_rng(DEFAULT_SEED)
     bounded = machine.with_(queue_capacity=CAPACITY)
+    h1 = HASH_FAMILIES["h1"](7)
     layers = {name: {} for name in ("fifo_kernel", "fifo_kernel_shuffled",
                                     "certificate", "commit", "world",
-                                    "distinct_random", "stream_bounded")}
+                                    "fallback", "distinct_random",
+                                    "stream_bounded")}
     for n in SIZES:
         arrivals, banks = _kernel_inputs(machine, n, rng)
         shuffled = rng.permutation(arrivals)
-        s, proj = _certificate_inputs(machine, n)
+        addr = uniform_random(n, DEFAULT_SPACE, seed=DEFAULT_SEED)
+        s, proj = _certificate_inputs(machine, addr)
         # Sanity, not perf: the projection is well formed and
         # certified, so committing it is the bounded run.
         assert (proj.start >= proj.arrival).all()
-        assert _first_stall(s, proj) is None
+        assert _full_banks(s, proj) is None
+        zs, zproj = _certificate_inputs(
+            machine, zipf_pattern(n, 1 << 24, 1.2, seed=DEFAULT_SEED), h1)
+        full = _full_banks(zs, zproj)
+        assert full is not None  # the zipf row stalls and falls back
 
         layers["fifo_kernel"][n] = _spread(
             fifo_service_times, arrivals, banks, d)
         layers["fifo_kernel_shuffled"][n] = _spread(
             fifo_service_times, shuffled, banks, d)
-        layers["certificate"][n] = _spread(_first_stall, s, proj)
+        layers["certificate"][n] = _spread(_full_banks, s, proj)
         layers["commit"][n] = _spread(_commit_fresh, s, proj)
         layers["world"][n] = _spread(_world_run, s)
+        layers["fallback"][n] = _spread(_fall_back, zs, full)
         layers["distinct_random"][n] = _spread(
             distinct_random, n, DEFAULT_SPACE, DEFAULT_SEED)
 
-        addr = uniform_random(n, DEFAULT_SPACE, seed=DEFAULT_SEED)
         if n <= 1 << 16:
             # Sanity: the chunked stream ends on the one-shot answer.
             got = _stream_bounded(bounded, addr)

@@ -234,7 +234,7 @@ def _run_tick(machine: MachineConfig, s: _Setup) -> SimResult:
     capacity = s.capacity
     proc_reqs = [
         deque(rows) for rows in proc_rows(
-            s.p, s.batch.proc, s.banks, s.batch.addresses, s.survives
+            s.p, s.g, s.batch.proc, s.banks, s.batch.addresses, s.survives
         )
     ]
     queues: List[deque] = [deque() for _ in range(s.n_banks)]
@@ -261,7 +261,7 @@ def _run_tick(machine: MachineConfig, s: _Setup) -> SimResult:
         # 1. Processors issue, in processor-id order.
         for q in range(s.p):
             if proc_reqs[q] and next_issue[q] <= t:
-                bank, req_addr, alive = proc_reqs[q][0]
+                bank, req_addr, alive, _ = proc_reqs[q][0]
                 if alive and capacity is not None \
                         and len(queues[bank]) >= capacity:
                     stalled += 1
@@ -310,12 +310,19 @@ def _run_tick(machine: MachineConfig, s: _Setup) -> SimResult:
     return _finish(machine, s, "tick", acc)
 
 
-def _world(s: _Setup) -> EventWorld:
-    """An event world for this setup, fed every request."""
+def _world(s: _Setup, fed: Optional[np.ndarray] = None) -> EventWorld:
+    """An event world for this setup, fed every request, or only the
+    surviving requests ``fed`` (indices in request order): each
+    processor then issues its first at its scheduled cycle and jumps
+    over the rest, ``g`` cycles per request."""
     assert s.batch is not None and s.banks is not None
     world = EventWorld(s.p, s.n_banks, s.g, s.d, s.latency, s.hit_delay,
                        s.capacity)
-    world.feed(s.batch.proc, s.banks, s.batch.addresses, s.survives)
+    if fed is None:
+        world.feed(s.batch.proc, s.banks, s.batch.addresses, s.survives)
+    else:
+        world.feed(s.batch.proc[fed], s.banks[fed], s.batch.addresses[fed],
+                   issue=s.batch.issue[fed])
     return world
 
 

@@ -30,31 +30,43 @@ seeds, certified against the pending requests of earlier chunks):
    scalars.  The kernels accept per-bank seeds (``init_free`` floors,
    ``init_addr`` row buffers) so a projection can start from a mid-run
    machine state.
-2. **Certify.** The bounded machine evolves identically to the
+2. **Certify.**  The bounded machine evolves identically to the
    unbounded projection up to the first cycle at which an issuing
-   processor finds its target queue full.  The queue depth seen by the
-   issue at cycle ``q`` is ``#{arrivals <= q-1} - #{starts <= q-1}``
-   over same-bank survivors (issue precedes delivery and service inside
-   a cycle), which one lifted ``searchsorted`` evaluates for every
-   request at once.  If no projected issue sees depth >= capacity, the
-   projection *is* the bounded run — :func:`_commit` folds it
-   wholesale.  Otherwise the earliest offender ``t_stall`` is exact:
-   the first real stall, and only that row leaves the projection.
-3. **Fall back, then re-enter.** When back-pressure binds, the shared
-   event world of :mod:`repro.simulator.world` is fed every request of
-   the row and replays it from cycle 0 — exact, since nothing of it was
-   committed — until either completion or a *quiescent* cycle ``t >=
-   t_stall`` (all queues empty, nothing in flight, nobody blocked).  At
-   quiescence every pending processor's next issue lies strictly in the
-   future, so the world exports the remaining requests, they
-   re-project from the exported seeds and the loop repeats, resuming
-   the same world if the next certificate fails.  Each event chunk strictly passes at least
-   one real stall burst, so the alternation terminates; in the worst
-   case (back-pressure never quiesces) the row degrades to a single
-   event-world run fed every request.
+   processor finds its target queue full.  A stall needs ``capacity``
+   requests queued at one bank, and FIFO service starts them at least
+   ``min(d, hit cost)`` cycles apart, so the last of them waits longer
+   than ``(capacity - 1) * min(d, hit cost)``: a row whose projected
+   waits all stay within that bound is stall-free, with no sort and no
+   search.  On the banks with a longer wait, the queue depth seen by
+   the issue at cycle ``q`` is ``#{arrivals <= q-1} - #{starts <=
+   q-1}`` over same-bank survivors (issue precedes delivery and service
+   inside a cycle), which one lifted ``searchsorted`` evaluates for
+   every request at once.  If no projected issue sees depth >=
+   capacity, the projection *is* the bounded run — :func:`_commit`
+   folds it wholesale.  Otherwise the certificate names the banks it
+   found full, and only that row leaves the projection.
+3. **Reduced run.**  Back-pressure binds only at the banks that fill,
+   so the fallback steps only those.  The shared event world of
+   :mod:`repro.simulator.world` is fed the requests to a *stepped* set
+   of banks, starting with the ones the certificate named; each
+   processor issues its first stepped request at its scheduled cycle
+   and jumps over its other requests, ``g`` cycles apiece.  The world
+   logs every blocked issue, so each request's real issue cycle is its
+   scheduled one plus its processor's stalls up to and including it.
+   From those issue cycles the other banks' requests (and the requests
+   combining absorbed) are projected from a cold machine and certified
+   as in step 2.  If the certificate holds, the reduced run *is* the
+   real run: the two agree until an unstepped issue would find a full
+   queue, and the certificate shows none does.  The world's aggregates
+   plus the committed projection are the row's result.  Otherwise the
+   banks it found full join the stepped set and the reduced run starts
+   again; the set only grows, so this ends, at worst with every bank
+   stepped.  A reduced run past ``max_cycles`` hands the row to the
+   world fed every request, which raises the runaway diagnostic (or
+   finishes the row, if only the reduced run ran away).
 
-Every committed span is exact and the fallback is the world's exact
-stepping, so the projector is **bit-identical** to ``engine="tick"``
+Every committed span is exact and a committed reduced run is the real
+run, so the projector is **bit-identical** to ``engine="tick"``
 and to the world run alone — property-tested, including telemetry.
 Stall-free workloads (the paper's unbounded-queue machines) never leave
 step 1, and banksim, whose queues are unbounded by definition, is step
@@ -594,31 +606,60 @@ def _project(
     ]
 
 
-def _first_stall(s: _Setup, proj: _Proj,
-                 issued: Optional[Issued] = None) -> Optional[int]:
-    """Earliest projected issue cycle whose target queue is full, or
+def _full_banks(s: _Setup, proj: _Proj,
+                issued: Optional[Issued] = None) -> Optional[np.ndarray]:
+    """Banks whose queue is full at one of the projection's issues, or
     ``None`` if the projection is stall-free (and therefore exact).
+
+    ``issued`` adds requests issued before the projection's own (a
+    stream's pending requests): they count toward every depth but are
+    not queried, since their own issues were certified already.
+
+    The waits clear most rows in one pass.  A stall needs ``capacity``
+    requests queued at its bank, and FIFO service starts them at least
+    ``min(d, hit cost)`` cycles apart, so the last of them waits longer
+    than ``(capacity - 1) * min(d, hit cost)``.  A bank with no longer
+    wait cannot fill; only the others go through :func:`_depth_check`.
+    """
+    if s.capacity is None or proj.arrival.size == 0:
+        return None
+    cheap = s.d if s.hit_delay is None else min(s.d, s.hit_delay)
+    bound = (s.capacity - 1) * cheap
+    hot = np.zeros(s.n_banks, dtype=bool)
+    hot[proj.bank[proj.start - proj.arrival > bound]] = True
+    if issued is not None:
+        hot[issued.bank[issued.start - issued.arrival > bound]] = True
+    if not hot.any():
+        return None
+    return _depth_check(s, proj, issued, hot)
+
+
+def _depth_check(s: _Setup, proj: _Proj, issued: Optional[Issued],
+                 hot: np.ndarray) -> Optional[np.ndarray]:
+    """The exact stall certificate, on the banks ``hot`` marks: the
+    banks where a projected issue finds its queue full, or ``None``.
 
     The depth seen by an issue at cycle ``q`` counts same-bank requests
     delivered by ``q-1`` minus those started by ``q-1``: inside a cycle
     processors issue before arrivals are delivered and banks serve, so
-    only strictly earlier deliveries/starts occupy the queue.
-    ``issued`` adds requests issued before the projection's own (a
-    stream's pending requests): they count toward every depth but are
-    not queried, since their own issues were certified already.
+    only strictly earlier deliveries/starts occupy the queue.  Requests
+    in ``issued`` count toward depths but are not queried.
     """
-    arrival, start, banks = proj.arrival, proj.start, proj.bank
-    n = arrival.size
-    if s.capacity is None or n == 0:
+    assert s.capacity is not None
+    keep = hot[proj.bank]
+    arrival, start = proj.arrival[keep], proj.start[keep]
+    banks = proj.bank[keep]
+    if arrival.size == 0:
         return None
     m = 0
     if issued is not None and issued.start.size:
         # Issued requests precede the projection's in request order, so
         # the arrivals stay nondecreasing and every FIFO keeps its order.
-        m = int(issued.start.size)
-        arrival = np.concatenate((issued.arrival, arrival))
-        start = np.concatenate((issued.start, start))
-        banks = np.concatenate((issued.bank, banks))
+        keep = hot[issued.bank]
+        m = int(keep.sum())
+        arrival = np.concatenate((issued.arrival[keep], arrival))
+        start = np.concatenate((issued.start[keep], start))
+        banks = np.concatenate((issued.bank[keep], banks))
     order = _fifo_order(banks, arrival)
     s_bank = banks[order]
     s_arr = arrival[order]
@@ -640,17 +681,26 @@ def _first_stall(s: _Setup, proj: _Proj,
     # so q - 1 = arrival - latency - 1.
     span = float(s_start.max()) + 2.0
     lift = seg_id * span
-    ask, ask_lift = s_arr, lift
+    ask, ask_lift, ask_bank = s_arr, lift, s_bank
     if m:
         asked = order >= m
-        ask, ask_lift = s_arr[asked], lift[asked]
+        ask, ask_lift, ask_bank = s_arr[asked], lift[asked], s_bank[asked]
     query = (ask - float(s.latency + 1)) + ask_lift
     delivered = np.searchsorted(s_arr + lift, query, side="right")
     started = np.searchsorted(s_start + lift, query, side="right")
     stalls = delivered - started >= s.capacity
     if not stalls.any():
         return None
-    return int(ask[stalls].min()) - s.latency
+    return np.unique(ask_bank[stalls])
+
+
+def _last_event(proj: _Proj) -> float:
+    """The last cycle a projection's run processes: its last service
+    start (survivors) or issue (absorbed requests)."""
+    last = float(proj.start.max()) if proj.start.size else 0.0
+    if proj.absorbed.size:
+        last = max(last, float(proj.absorbed.max()))
+    return last
 
 
 def _commit(
@@ -676,22 +726,17 @@ def _commit(
     if absorbed.size:
         last = max(last, float(absorbed.max()) + s.latency)
 
-    if last > s.max_cycles:
-        # Runaway parity: the event world raises iff it would process a
-        # cycle beyond max_cycles, and its last processed cycle is the
-        # last service start (survivors) or issue (absorbed requests),
-        # neither later than the last finish.
-        last_event = float(start.max()) if start.size else 0.0
+    # Runaway parity: the event world raises iff it would process a
+    # cycle beyond max_cycles, and its last processed cycle is never
+    # later than the last finish.
+    if last > s.max_cycles and _last_event(proj) > s.max_cycles:
+        done = acc.completed
+        if start.size:
+            done += int((start <= s.max_cycles).sum())
         if absorbed.size:
-            last_event = max(last_event, float(absorbed.max()))
-        if last_event > s.max_cycles:
-            done = acc.completed
-            if start.size:
-                done += int((start <= s.max_cycles).sum())
-            if absorbed.size:
-                done += int((absorbed <= s.max_cycles).sum())
-            raise runaway_error(s.max_cycles, s.n - done, acc.stalled,
-                                s.capacity)
+            done += int((absorbed <= s.max_cycles).sum())
+        raise runaway_error(s.max_cycles, s.n - done, acc.stalled,
+                            s.capacity)
 
     if last > acc.last_finish:
         acc.last_finish = last
@@ -721,25 +766,27 @@ def _commit(
     return finish
 
 
-def _settle(s: _Setup, acc: Acc, proj: _Proj) -> Optional[int]:
+def _settle(s: _Setup, acc: Acc, proj: _Proj) -> Optional[np.ndarray]:
     """Commit one row's projection if its stall certificate holds
     (vacuously, on unbounded machines); otherwise commit nothing and
-    return the first stall cycle."""
-    t_stall = _first_stall(s, proj)
-    if t_stall is None:
+    return the banks it found full."""
+    full = _full_banks(s, proj)
+    if full is None:
         _commit(s, acc, proj)
-    return t_stall
+    return full
 
 
-def _fold_rows(setups: Sequence[_Setup]) -> List[Tuple[Acc, Optional[int]]]:
+def _fold_rows(
+    setups: Sequence[_Setup],
+) -> List[Tuple[Acc, Optional[np.ndarray]]]:
     """Project every row, stacking rows with one survivor count into one
     kernel call, and commit each row whose certificate holds.
 
-    Returns each row's accumulator with the cycle its certificate
-    failed at (``None``: committed whole; empty rows commit nothing).
-    Rows that failed go on through :func:`_fall_back`."""
+    Returns each row's accumulator with the banks its certificate found
+    full (``None``: committed whole; empty rows commit nothing).  Rows
+    that failed go on through :func:`_fall_back`."""
     accs = [_new_acc(s) for s in setups]
-    stalls: List[Optional[int]] = [None] * len(setups)
+    full: List[Optional[np.ndarray]] = [None] * len(setups)
     works: Dict[int, _Work] = {}
     groups: Dict[int, List[int]] = {}
     for r, s in enumerate(setups):
@@ -754,23 +801,77 @@ def _fold_rows(setups: Sequence[_Setup]) -> List[Tuple[Acc, Optional[int]]]:
         projs = _project([setups[r] for r in members],
                          [works[r] for r in members])
         for r, proj in zip(members, projs):
-            stalls[r] = _settle(setups[r], accs[r], proj)
-    return list(zip(accs, stalls))
+            full[r] = _settle(setups[r], accs[r], proj)
+    return list(zip(accs, full))
 
 
-def _fall_back(s: _Setup, acc: Acc, t_stall: int) -> None:
-    """Finish a row whose certificate failed at ``t_stall``: the shared
-    event world replays it to quiescence past each failure and the
-    remainder re-projects from the exported seeds, until the world
-    completes or a certificate holds."""
-    world = _world(s)
-    while not world.run(acc, s.max_cycles, t_stall=t_stall):
-        work, floors, last_addr = world.export()
-        (proj,) = _project((s,), (_survivors(*work),), floors, last_addr)
-        stall = _settle(s, acc, proj)
-        if stall is None:
-            return
-        t_stall = stall
+def _rebuild(s: _Setup, order: np.ndarray, fed: np.ndarray,
+             log: List[Tuple[int, int, int]]) -> np.ndarray:
+    """Every request's issue cycle in a reduced run: its scheduled cycle
+    plus its processor's stalls up to and including it.
+
+    ``order`` lists the requests processor by processor, each in request
+    order; ``fed`` marks the requests the world stepped, and ``log``
+    holds its blocked issues as ``(processor, rows left, stall)``."""
+    assert s.batch is not None
+    issue = s.batch.issue
+    if not log:
+        return issue
+    proc, left, stall = np.asarray(log, dtype=np.int64).T
+    # The world holds each processor's fed requests in request order,
+    # so the logged one is ``left + 1`` from the end of its processor's.
+    fed_order = order[fed[order]]
+    ends = np.cumsum(np.bincount(s.batch.proc[fed], minlength=s.p))
+    delay = np.zeros(s.n, dtype=np.float64)
+    delay[fed_order[ends[proc] - 1 - left]] = stall
+    # Each processor's running sum of its delays, in request order.
+    counts = np.bincount(s.batch.proc, minlength=s.p)
+    shift = np.cumsum(delay[order])
+    before = np.r_[0.0, shift][np.cumsum(counts) - counts]
+    shift -= np.repeat(before, counts)
+    out = np.empty(s.n, dtype=np.float64)
+    out[order] = issue[order] + shift
+    return out
+
+
+def _fall_back(s: _Setup, banks: np.ndarray) -> Acc:
+    """Finish a row whose certificate found ``banks`` full by reduced
+    runs (the module docstring's step 3) and return its accumulator."""
+    assert s.batch is not None and s.banks is not None
+    batch, alive = s.batch, s.survives
+    order = np.argsort(batch.proc, kind="stable")
+    stepped = np.zeros(s.n_banks, dtype=bool)
+    stepped[banks] = True
+    while True:
+        fed = stepped[s.banks] if alive is None \
+            else stepped[s.banks] & alive
+        acc = _new_acc(s)
+        log: List[Tuple[int, int, int]] = []
+        world = _world(s, np.flatnonzero(fed))
+        if not world.run(acc, s.max_cycles, horizon=s.max_cycles + 1,
+                         log=log):
+            break
+        issue = _rebuild(s, order, fed, log)
+        rest = np.flatnonzero(~fed)
+        # Engine issue order: cycle, then processor id.
+        rest = rest[np.argsort(
+            issue[rest].astype(np.int64) * s.p + batch.proc[rest],
+            kind="stable")]
+        (proj,) = _project((s,), (_survivors(
+            issue[rest], s.banks[rest], batch.addresses[rest],
+            None if alive is None else alive[rest]),))
+        if _last_event(proj) > s.max_cycles:
+            break
+        full = _full_banks(s, proj)
+        if full is None:
+            _commit(s, acc, proj)
+            return acc
+        stepped[full] = True
+    # A run past max_cycles: the full world raises tick's diagnostic,
+    # or finishes the row if only a reduced run ran away.
+    acc = _new_acc(s)
+    _world(s).run(acc, s.max_cycles)
+    return acc
 
 
 def run_batch(machine: MachineConfig, s: _Setup, engine: str) -> SimResult:
@@ -778,7 +879,7 @@ def run_batch(machine: MachineConfig, s: _Setup, engine: str) -> SimResult:
     simulate_scatter_cycle` with ``engine="event"`` or ``"batch"``: the
     one-row call of the grid's project -> certify -> fall back loop.
     ``engine`` only names the result for the sanitizer."""
-    ((acc, t_stall),) = _fold_rows((s,))
-    if t_stall is not None:
-        _fall_back(s, acc, t_stall)
+    ((acc, full),) = _fold_rows((s,))
+    if full is not None:
+        acc = _fall_back(s, full)
     return _finish(machine, s, engine, acc)

@@ -54,7 +54,6 @@ from .machine import MachineConfig, require_machine
 from .request import Assignment
 from .sanitize import sanitize_enabled
 from .stats import SimResult
-from .world import Acc
 
 __all__ = ["simulate_scatter_grid"]
 
@@ -72,13 +71,12 @@ def _spread(value: Any, rows: int, name: str) -> List[Any]:
     return [value] * rows
 
 
-def _row_fallback(machine: MachineConfig, s: _Setup, acc: Acc,
-                  t_stall: int) -> SimResult:
-    """Finish one row whose stall certificate failed at ``t_stall``
-    through the batch engine's fallback loop, from the setup the grid
+def _row_fallback(machine: MachineConfig, s: _Setup,
+                  full: np.ndarray) -> SimResult:
+    """Finish one row whose stall certificate found ``full`` banks
+    through the batch engine's fallback, from the setup the grid
     already built."""
-    _fall_back(s, acc, t_stall)
-    return _finish(machine, s, "grid", acc)
+    return _finish(machine, s, "grid", _fall_back(s, full))
 
 
 def simulate_scatter_grid(
@@ -145,8 +143,7 @@ def simulate_scatter_grid(
             telemetry, do_sanitize,
         ))
     return [
-        _finish(m, s, "grid", acc) if t_stall is None
-        else _row_fallback(m, s, acc, t_stall)
-        for m, s, (acc, t_stall) in zip(machines, setups,
-                                        _fold_rows(setups))
+        _finish(m, s, "grid", acc) if full is None
+        else _row_fallback(m, s, full)
+        for m, s, (acc, full) in zip(machines, setups, _fold_rows(setups))
     ]

@@ -74,7 +74,7 @@ from .._util import as_addresses
 from ..core.contention import BankMap
 from ..errors import ParameterError, SimulationError
 from .cycle import _bank_ids, _finish, _machine_setup, _max_cycles, _new_acc
-from .cycle_batch import _NONE, _commit, _first_stall, _Proj, _project, _Work
+from .cycle_batch import _NONE, _commit, _full_banks, _Proj, _project, _Work
 from .machine import MachineConfig, require_machine
 from .request import Assignment
 from .sanitize import sanitize_enabled
@@ -311,7 +311,7 @@ class StreamSimulator:
             issue = (idx // s.p).astype(np.float64) * float(s.g)
             (proj,) = _project((s,), (_Work(issue, banks, chunk, _NONE),),
                                self._floors, self._last_addr)
-            if _first_stall(s, proj, self._pend) is None:
+            if _full_banks(s, proj, self._pend) is None:
                 # Certified (vacuously on unbounded queues): the seeded
                 # projection is the exact run.
                 self._commit_chunk(proj, chunk)
@@ -401,7 +401,7 @@ class StreamSimulator:
     def state(self) -> Dict[str, Any]:
         """Complete resumable state as plain picklable structures."""
         return {
-            "version": 4,
+            "version": 5,
             "queue_capacity": self._s.capacity,
             "n": self._s.n,
             "chunk_index": self._chunk_index,
@@ -424,7 +424,7 @@ class StreamSimulator:
         The simulator must have consumed nothing yet and must have been
         constructed with the same machine/telemetry configuration the
         checkpoint was taken under."""
-        if state.get("version") != 4:
+        if state.get("version") != 5:
             raise ParameterError(
                 f"unsupported stream checkpoint version "
                 f"{state.get('version')!r}"

@@ -5,15 +5,16 @@
 cycles where something can happen (an issue, an arrival, a bank
 becoming free, a parked processor's retry) and jumps over the rest.
 It is *pausable*: requests are fed incrementally, and :meth:`EventWorld.
-run` steps to completion, to an exclusive horizon, or to the first
-quiescent cycle at or after a given cycle, keeping the machine state on
-the instance between calls.  Its two callers step it only where a bank
-queue fills:
+run` steps to completion or to an exclusive horizon, keeping the
+machine state on the instance between calls.  Its two callers step it
+only where a bank queue fills:
 
 * the projector's back-pressure fallback (``engine="event"`` or
-  ``"batch"``, and a stalled grid row) feeds it every request of the row
-  after a failed stall certificate, runs it to quiescence and exports
-  the remaining requests for vectorized re-projection;
+  ``"batch"``, and a stalled grid row) feeds it only the requests to
+  the banks a failed stall certificate flagged, each processor jumping
+  over its other requests at ``g`` cycles apiece, and runs it to
+  completion, logging every blocked issue so that the rest of the row
+  can be projected from the issue cycles the log rebuilds;
 * a bounded-queue :class:`~repro.simulator.stream.StreamSimulator`
   builds it with :meth:`EventWorld.seed` from its committed carry at the
   first chunk whose stall certificate fails, then runs every chunk to
@@ -26,7 +27,8 @@ jumps exact:
 
 * **Issue heap** — one int key ``cycle * p + q`` per processor that has
   pending requests and is not parked, so pops come out in ``(cycle,
-  q)`` order.  Every key lies in ``[t, t + g]``.
+  q)`` order.  Every key lies in ``[t, t + gap]``, ``gap`` being the
+  cycles from the processor's last issue to its next fed request.
 * **In flight** — a FIFO deque of ``(arrival, bank, addr)``.  Latency
   is constant and cycles only advance, so push order already is the
   ``(arrival, issue seq)`` delivery order.
@@ -39,11 +41,14 @@ jumps exact:
   Order across banks within one cycle changes no result: each bank owns
   its queue and the aggregates are sums and maxes.
 * **Parked processors** — a processor whose target queue is full parks
-  under that bank.  The depth it saw can only fall when the bank
-  serves, so it is retried exactly on the cycle after each such serve
-  and on no other.  Its stall count (one per cycle blocked) is added in
-  closed form when it issues, when the world pauses at a horizon, and
-  at runaway; it never needs a cycle of its own.
+  under that bank.  Issues precede deliveries and serves inside a
+  cycle, so the depth an issue sees is the depth the bank's last serve
+  left, and it falls only at a serve.  A parked processor is retried
+  on the cycle after the first serve that leaves its queue below
+  capacity, and then issues; on no other cycle could it issue.  Its
+  stall count (one per cycle blocked) is added in closed form when it
+  issues, when the world pauses at a horizon, and at runaway; it never
+  needs a cycle of its own.
 
 Hot-loop counters live in locals and Python lists and are folded into
 the one result accumulator, :class:`Acc`, on exit.
@@ -67,9 +72,11 @@ from .stats import SimResult, SimTelemetry
 __all__ = ["Acc", "EventWorld", "Issued", "proc_rows", "runaway_error"]
 
 #: One request as a processor holds it: (bank, address, survives
-#: combining).  Absorbed requests (``False``) never reach a bank.
-Row = Tuple[int, int, bool]
-
+#: combining, gap).  Absorbed requests (``False``) never reach a bank.
+#: ``gap`` is the cycles from this request's issue to its processor's
+#: next request's scheduled issue: ``g``, or a multiple of it in a
+#: world fed only some of each processor's requests.
+Row = Tuple[int, int, bool, int]
 
 class Issued(NamedTuple):
     """Requests issued and committed by a projection whose service
@@ -95,17 +102,27 @@ def runaway_error(max_cycles: int, outstanding: int, stalled: int,
     )
 
 
-def proc_rows(p: int, proc: np.ndarray, banks: np.ndarray,
-              addresses: np.ndarray,
-              alive: Optional[np.ndarray] = None) -> List[List[Row]]:
+def proc_rows(p: int, g: int, proc: np.ndarray, banks: np.ndarray,
+              addresses: np.ndarray, alive: Optional[np.ndarray] = None,
+              issue: Optional[np.ndarray] = None) -> List[List[Row]]:
     """Group requests by processor, in request order, as :data:`Row`\\ s
-    (``alive=None``: every request survives)."""
+    (``alive=None``: every request survives).  Each row's gap runs to
+    its processor's next row's cycle in ``issue``, the requests'
+    scheduled cycles; a processor's last row, and every row when
+    ``issue`` is ``None``, gets ``g``."""
     order = np.argsort(proc, kind="stable")
     flags: Iterable[bool] = (
         repeat(True) if alive is None else alive[order].tolist()
     )
+    gaps: Iterable[int] = repeat(g)
+    if issue is not None and order.size:
+        sched = issue[order].astype(np.int64)
+        gap = np.full(order.size, g, dtype=np.int64)
+        same = proc[order][1:] == proc[order][:-1]
+        gap[:-1][same] = (sched[1:] - sched[:-1])[same]
+        gaps = gap.tolist()
     rows = list(zip(banks[order].tolist(), addresses[order].tolist(),
-                    flags))
+                    flags, gaps))
     ends = np.cumsum(np.bincount(proc, minlength=p)).tolist()
     return [rows[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
@@ -263,8 +280,8 @@ class EventWorld:
         self.t = 0
 
     def feed(self, proc: np.ndarray, banks: np.ndarray,
-             addresses: np.ndarray,
-             alive: Optional[np.ndarray] = None) -> None:
+             addresses: np.ndarray, alive: Optional[np.ndarray] = None,
+             issue: Optional[np.ndarray] = None) -> None:
         """Append requests to the per-processor streams, in request
         order (``alive=None``: no combining).
 
@@ -272,10 +289,19 @@ class EventWorld:
         transition.  Its ``next_issue`` is then never before ``t`` when
         the world paused at a horizon (the horizon is the scheduled
         issue cycle of the first unfed request); the clamp only guards
-        the key encoding."""
+        the key encoding.  ``issue``, the requests' scheduled cycles,
+        feeds a fresh world only some of each processor's requests:
+        each processor first issues at its first fed request's cycle
+        and jumps from each fed request to the next."""
         p = self.p
-        for q, rows in enumerate(proc_rows(p, proc, banks, addresses,
-                                           alive)):
+        if issue is not None and proc.size:
+            # Reversed fancy assignment: the last write wins, so each
+            # processor keeps its first fed request's cycle.
+            first = np.zeros(p, dtype=np.int64)
+            first[proc[::-1]] = issue[::-1]
+            self.next_issue = first.tolist()
+        for q, rows in enumerate(proc_rows(p, self.g, proc, banks,
+                                           addresses, alive, issue)):
             if rows:
                 dq = self.proc_reqs[q]
                 if not dq:
@@ -335,15 +361,17 @@ class EventWorld:
         self.t = t
 
     def run(self, acc: Acc, max_cycles: int, horizon: Optional[int] = None,
-            t_stall: Optional[int] = None) -> bool:
+            log: Optional[List[Tuple[int, int, int]]] = None) -> bool:
         """Step until every fed request completed (``True``), or pause
-        (``False``) before cycle ``horizon`` or after the first
-        quiescent cycle ``>= t_stall`` (all queues empty, nothing in
-        flight, nobody blocked).  Raises the runaway diagnostic instead
-        of processing a cycle past ``max_cycles``."""
+        (``False``) before cycle ``horizon``.  Raises the runaway
+        diagnostic instead of processing a cycle past ``max_cycles``
+        before the horizon.  ``log`` collects one ``(processor, rows
+        left, stall cycles)`` entry per issue that was blocked, ``rows
+        left`` counting the processor's rows behind the issued one."""
         heappush, heappop = heapq.heappush, heapq.heappop
-        p, g, d, lat = self.p, self.g, self.d, self.latency
+        p, d, lat = self.p, self.d, self.latency
         hit, cap = self.hit_delay, self.capacity
+        room = cap or 0  # nobody parks when cap is None
         width = d + 1
         proc_reqs, next_issue = self.proc_reqs, self.next_issue
         issue_heap, in_flight = self.issue_heap, self.in_flight
@@ -364,14 +392,13 @@ class EventWorld:
         t = self.t
         t_end = max_cycles + 1 if horizon is None \
             else min(horizon, max_cycles + 1)
-        quiet = False
         while completed < n_fed and t < t_end:
             # 1. Processors issue, in processor-id order (heap keys).
             tp = t * p
             while issue_heap and issue_heap[0] < tp + p:
                 q = heappop(issue_heap) - tp
                 dq = proc_reqs[q]
-                bank, addr, alive = dq[0]
+                bank, addr, alive, gap = dq[0]
                 if alive and cap is not None and len(queues[bank]) >= cap:
                     if blocked_at[q] < 0:
                         blocked_at[q] = t
@@ -384,6 +411,8 @@ class EventWorld:
                     stalled += t - tb
                     if counters:
                         stalls[q] += t - tb
+                    if log is not None:
+                        log.append((q, len(dq), t - tb))
                     blocked_at[q] = -1
                     n_blocked -= 1
                 if alive:
@@ -393,9 +422,10 @@ class EventWorld:
                     if t + lat > last_finish:
                         last_finish = t + lat
                     completed += 1
-                next_issue[q] = t + g
+                x = t + gap
+                next_issue[q] = x
                 if dq:
-                    heappush(issue_heap, tp + g * p + q)
+                    heappush(issue_heap, x * p + q)
 
             # 2. Deliver arrivals due this cycle, in issue order.
             while in_flight and in_flight[0][0] <= t:
@@ -438,7 +468,7 @@ class EventWorld:
                         if not nxt:
                             heappush(wheel_times, x)
                         nxt.append(bank)
-                    if parked and bank in parked:
+                    if parked and len(qu) < room and bank in parked:
                         for q in parked.pop(bank):
                             heappush(issue_heap, tp + p + q)
                 completed += len(slot)
@@ -446,12 +476,6 @@ class EventWorld:
 
             if completed >= n_fed:
                 t += 1
-                break
-            if t_stall is not None and t >= t_stall and not n_blocked \
-                    and not in_flight and not wheel_times:
-                # Quiescent: every pending issue lies in the future.
-                t += 1
-                quiet = True
                 break
             # Jump to the next cycle where anything can change.
             t_next = t_end
@@ -468,9 +492,9 @@ class EventWorld:
                 )
             t = t_next
         done = completed >= n_fed
-        stopped = not done and not quiet  # at the horizon or runaway
-        if stopped and n_blocked:
-            # Count every parked processor's stalls through cycle t - 1.
+        if not done and n_blocked:
+            # Paused at the horizon or runaway: count every parked
+            # processor's stalls through cycle t - 1.
             for q in range(p):
                 tb = blocked_at[q]
                 if tb >= 0:
@@ -484,34 +508,9 @@ class EventWorld:
         acc.fold(served, busy, q_high, stalls)
         self.n_blocked = n_blocked
         self.t = t
-        if stopped and (horizon is None or t < horizon):
+        if not done and (horizon is None or t < horizon):
             raise runaway_error(max_cycles, n_fed - completed, stalled, cap)
         return done
-
-    def export(self) -> Tuple[Tuple[np.ndarray, ...], np.ndarray,
-                              np.ndarray]:
-        """Remaining requests as projection inputs, for a quiescent world.
-
-        Returns ``((issue, bank, addr, alive), floors, last_addr)``:
-        processor ``q``'s ``j``-th pending request issues at
-        ``next_issue[q] + j*g`` (exact while nobody is blocked; the
-        next stall certificate finds the next stall), sorted in issue
-        order (cycle, then processor id); banks carry their free-at
-        floors and row-buffer seeds (``-1`` = cold)."""
-        counts = [len(dq) for dq in self.proc_reqs]
-        rows = [r for dq in self.proc_reqs for r in dq]
-        bank = np.asarray([r[0] for r in rows], dtype=np.int64)
-        addr = np.asarray([r[1] for r in rows], dtype=np.int64)
-        alive = np.asarray([r[2] for r in rows], dtype=bool)
-        proc = np.repeat(np.arange(self.p, dtype=np.int64), counts)
-        first = np.cumsum(counts) - counts
-        rank = np.arange(len(rows)) - np.repeat(first, counts)
-        issue = (np.repeat(np.asarray(self.next_issue, dtype=np.float64),
-                           counts) + rank * float(self.g))
-        order = np.lexsort((proc, issue))
-        work = (issue[order], bank[order], addr[order], alive[order])
-        return (work, np.asarray(self.free_at, dtype=np.float64),
-                np.asarray(self.last_addr, dtype=np.int64))
 
     def state(self) -> Dict[str, Any]:
         """Machine state as plain picklable structures (copies)."""

@@ -5,23 +5,24 @@ The vectorized projector in :mod:`repro.simulator.cycle_batch`, which
 bit-identical to the event world of :mod:`repro.simulator.world` fed
 every request and run to completion (:func:`.world_reference.world_run`)
 for *every* simulator mode: unbounded queues, bounded queues with
-backpressure stalls (where the projector falls back to exact scalar
-stepping between quiescent points), combining, and the cache-hit (row
-buffer) extension.
+backpressure stalls (where the projector steps only the banks that
+fill through the world and projects the rest), combining, and the
+cache-hit (row buffer) extension.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simulator import (
+    StreamSimulator,
     simulate_scatter_cycle,
     simulate_scatter_engine,
     toy_machine,
 )
-from repro.simulator import cycle_batch
+from repro.simulator import cycle, cycle_batch
 from repro.simulator.machine import CRAY_J90
 from repro.simulator.world import EventWorld
 from repro.workloads import broadcast, hotspot, uniform_random
@@ -137,20 +138,21 @@ class TestBatchMatchesEvent:
         assert batch.stalled_cycles > 0
         _assert_identical(batch, world_run(m, addr))
 
-    def test_quiescence_reprojection_seam(self, monkeypatch):
-        # A bursty bounded-queue run that goes scalar, drains to a
-        # quiescent cycle, and hands back to the vectorized projection
-        # (seeded with bank floors and the issue schedule).  The spy
-        # proves the export seam fires; the comparison proves it is
-        # exact across it.
-        calls = {"export": 0}
-        orig = EventWorld.export
+    def test_burst_steps_only_its_banks(self, monkeypatch):
+        # A hot burst followed by light traffic on capacity-2 queues:
+        # the fallback steps only the banks the certificate found full
+        # (the burst's, and any that fill as the set grows), and
+        # projects the rest from the issue cycles the world's stall log
+        # rebuilds.  The spy proves the world saw part of the row; the
+        # comparisons prove the reduced run is exact.
+        fed = []
+        orig = EventWorld.run
 
-        def spy(self):
-            calls["export"] += 1
-            return orig(self)
+        def spy(self, *args, **kwargs):
+            fed.append(self.n_fed)
+            return orig(self, *args, **kwargs)
 
-        monkeypatch.setattr(EventWorld, "export", spy)
+        monkeypatch.setattr(EventWorld, "run", spy)
         rng = np.random.default_rng(11)
         n = 120
         addr = np.concatenate([
@@ -158,9 +160,13 @@ class TestBatchMatchesEvent:
             rng.integers(0, 1 << 12, n - n // 2),
         ])
         m = toy_machine(p=3, x=1, d=2, g=2, latency=0, queue_capacity=2)
-        batch, world = _both(m, addr, telemetry=True)
-        assert calls["export"] >= 1
-        _assert_identical(batch, world)
+        batch = simulate_scatter_cycle(m, addr, engine="batch",
+                                       telemetry=True)
+        assert fed and all(k < n for k in fed)
+        assert batch.stalled_cycles > 0
+        _assert_identical(batch, world_run(m, addr, telemetry=True))
+        _assert_identical(batch, simulate_scatter_cycle(
+            m, addr, engine="tick", telemetry=True))
 
     def test_unbounded_never_goes_scalar(self, monkeypatch):
         # Without a queue bound there is no stall certificate to trip:
@@ -191,6 +197,89 @@ class TestBatchMatchesEvent:
                                      telemetry=True)
         assert got.stalled_cycles == 0
         _assert_identical(got, want)
+
+
+class TestWaitBound:
+    """The wait bound clears a bank only where the searchsorted
+    certificate finds no stall: a stall needs ``capacity`` queued
+    requests, and the last of them waits past the bound."""
+
+    @staticmethod
+    def _check(s, proj, issued=None):
+        every = np.ones(s.n_banks, dtype=bool)
+        exact = cycle_batch._depth_check(s, proj, issued, every)
+        got = cycle_batch._full_banks(s, proj, issued)
+        waits = [proj.start - proj.arrival]
+        if issued is not None:
+            waits.append(issued.start - issued.arrival)
+        longest = max(float(w.max(initial=0.0)) for w in waits)
+        cheapest = min(s.d, s.hit_delay or s.d)
+        if longest <= (s.capacity - 1) * cheapest:
+            assert exact is None
+        assert (got is None) == (exact is None)
+        if got is not None:
+            assert (got == exact).all()
+
+    @given(
+        machine=_machines().filter(lambda m: m.queue_capacity is not None),
+        n=st.integers(1, 300),
+        hot=st.integers(0, 120),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_shot_projection(self, machine, n, hot, seed):
+        # Every mode _machines() draws, row buffers and combining
+        # included: the projection the fold certifies.
+        s = cycle._prepare(machine, _pattern(n, hot, seed), None,
+                           "round_robin", None)
+        work = cycle_batch._survivors(s.batch.issue, s.banks,
+                                      s.batch.addresses, s.survives)
+        (proj,) = cycle_batch._project((s,), (work,))
+        self._check(s, proj)
+
+    @given(
+        machine=_machines().filter(
+            lambda m: m.queue_capacity is not None and not m.combining),
+        n=st.integers(2, 300),
+        hot=st.integers(0, 120),
+        seed=st.integers(0, 10_000),
+        cut=st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stream_chunk_with_pending(self, machine, n, hot, seed, cut):
+        # A stream chunk's projection, checked against the requests
+        # still pending from the chunks before it, as _consume does.
+        addr = _pattern(n, hot, seed)
+        head = max(1, int(n * cut))
+        sim = StreamSimulator(machine)
+        sim.feed(addr[:head])
+        assume(sim._world is None)  # a stalled session has no carry
+        s, chunk = sim._s, addr[head:]
+        idx = np.arange(head, n, dtype=np.int64)
+        issue = (idx // s.p).astype(np.float64) * float(s.g)
+        (proj,) = cycle_batch._project(
+            (s,), (cycle_batch._Work(issue, chunk % s.n_banks, chunk,
+                                     cycle_batch._NONE),),
+            sim._floors, sim._last_addr)
+        self._check(s, proj, sim._pend)
+
+    def test_stall_free_bounded_rows_skip_the_search(self, monkeypatch):
+        # The served deck's stall-free shape, one-shot and as stream
+        # chunks: every wait is within the bound, so no row sorts or
+        # searches.
+        m = CRAY_J90.with_(queue_capacity=8)
+        addr = uniform_random(4096, 1 << 24, seed=11)
+        want = world_run(m, addr, telemetry=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the searchsorted certificate ran")
+
+        monkeypatch.setattr(cycle_batch, "_depth_check", refuse)
+        _assert_identical(
+            simulate_scatter_cycle(m, addr, telemetry=True), want)
+        sim = StreamSimulator(m, telemetry=True, max_chunk=512)
+        _assert_identical(sim.feed(addr).result, want)
+        assert sim._world is None
 
 
 class TestBatchEntryPoint:

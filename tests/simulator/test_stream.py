@@ -337,15 +337,16 @@ class TestDigestAndCheckpoint:
     def test_load_state_refuses_version_1(self):
         # Version 2 changed the event world's layout (FIFO in flight,
         # bank wheel, parked processors), version 3 the accumulator
-        # (link_wait) and version 4 the carry (pending requests on
-        # bounded machines, a world only after a certificate miss): an
-        # older checkpoint must be refused, not misread.
+        # (link_wait), version 4 the carry (pending requests on
+        # bounded machines, a world only after a certificate miss) and
+        # version 5 the world's rows (each carries its gap to the next):
+        # an older checkpoint must be refused, not misread.
         machine = toy_machine(p=4, x=2, d=6, queue_capacity=2)
         sim = StreamSimulator(machine)
         sim.feed(hotspot(100, 10, 1 << 12, seed=1))
         state = sim.state()
-        assert state["version"] == 4
-        for old in (1, 2, 3):
+        assert state["version"] == 5
+        for old in (1, 2, 3, 4):
             state["version"] = old
             with pytest.raises(ParameterError, match="version"):
                 StreamSimulator(machine).load_state(state)

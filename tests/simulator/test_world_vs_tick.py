@@ -14,9 +14,12 @@ The world is also checked on its own, fed every request and run to
 completion, since no engine runs it that way any more.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -27,6 +30,7 @@ from repro.simulator import (
     simulate_scatter_grid,
     toy_machine,
 )
+from repro.simulator import cycle_grid
 from repro.simulator.machine import CRAY_J90
 from repro.simulator.world import EventWorld
 from repro.workloads import broadcast, hotspot, uniform_random
@@ -155,50 +159,59 @@ def _three_bursts():
                        queue_capacity=2), addr
 
 
+@contextlib.contextmanager
+def _world_runs():
+    """Record each event-world run as ``[n_fed, outcome]``: ``True``
+    (completed), ``False`` (paused at its horizon) or ``"raised"``."""
+    runs = []
+    orig = EventWorld.run
+
+    def spy(self, *args, **kwargs):
+        runs.append([self.n_fed, "raised"])
+        runs[-1][1] = orig(self, *args, **kwargs)
+        return runs[-1][1]
+
+    with mock.patch.object(EventWorld, "run", spy):
+        yield runs
+
+
 class TestWorldSeams:
-    def test_batch_resumes_the_world_across_seams(self, monkeypatch):
-        # Three hot bursts separated by light traffic: each burst fails
-        # the certificate, the world drains it to quiescence and
-        # exports, and the next burst resumes the same world.
-        calls = {"run": 0, "export": 0}
-        orig_run, orig_export = EventWorld.run, EventWorld.export
-
-        def run_spy(self, *args, **kwargs):
-            calls["run"] += 1
-            return orig_run(self, *args, **kwargs)
-
-        def export_spy(self):
-            calls["export"] += 1
-            return orig_export(self)
-
-        monkeypatch.setattr(EventWorld, "run", run_spy)
-        monkeypatch.setattr(EventWorld, "export", export_spy)
+    def test_batch_steps_only_the_burst_banks(self):
+        # Three hot bursts separated by light traffic: the bursts fail
+        # the certificate, and the reduced run steps the banks they
+        # fill while every other request is projected around them.
         m, addr = _three_bursts()
-        batch = _engine(m, addr, "batch")
-        assert calls["export"] >= 3 and calls["run"] >= 3
+        with _world_runs() as runs:
+            batch = _engine(m, addr, "batch")
+        assert runs and all(n_fed < addr.size for n_fed, _ in runs)
         assert batch.stalled_cycles > 0
         _assert_identical(batch, _tick(m, addr))
+        _assert_identical(batch, world_run(m, addr, telemetry=True))
 
-    def test_grid_row_resumes_the_world_across_seams(self, monkeypatch):
+    def test_grid_row_takes_the_reduced_run(self, monkeypatch):
         # The same bursts as a grid row stacked with an unbounded row:
-        # the bounded row leaves the fused projection and resumes one
-        # world across every seam; the unbounded row stays committed.
-        calls = {"export": 0}
-        orig_export = EventWorld.export
+        # the bounded row leaves the fused projection for the reduced
+        # run; the unbounded row stays committed.
+        fell_back = []
+        orig = cycle_grid._row_fallback
 
-        def export_spy(self):
-            calls["export"] += 1
-            return orig_export(self)
+        def spy(machine, *args):
+            fell_back.append(machine)
+            return orig(machine, *args)
 
-        monkeypatch.setattr(EventWorld, "export", export_spy)
+        monkeypatch.setattr(cycle_grid, "_row_fallback", spy)
         m, addr = _three_bursts()
         machines = [m, m.with_(queue_capacity=None)]
-        fused = simulate_scatter_grid(machines, [addr, addr],
-                                      telemetry=True)
-        assert calls["export"] >= 3
+        with _world_runs() as runs:
+            fused = simulate_scatter_grid(machines, [addr, addr],
+                                          telemetry=True)
+        assert fell_back == [m]
+        assert runs and all(n_fed < addr.size for n_fed, _ in runs)
         assert fused[0].stalled_cycles > 0
         for got, machine in zip(fused, machines):
             _assert_identical(got, _tick(machine, addr))
+            _assert_identical(got, world_run(machine, addr,
+                                             telemetry=True))
 
     def test_grid_maps_each_row_once(self):
         # A row whose certificate fails finishes from the setup the
@@ -314,3 +327,113 @@ class TestRunawayParity:
         assert messages["event"] == messages["tick"]
         assert messages["batch"] == messages["tick"]
         assert f"exceeded {budget} cycles" in messages["tick"]
+
+
+def _small_bounded(p, n_banks, d, capacity):
+    """A machine where reduced runs grow: few banks, small queues,
+    ``g = 1`` and no latency."""
+    return toy_machine(p=p, x=n_banks / p, d=d, g=1, latency=0,
+                       queue_capacity=capacity)
+
+
+#: Rows whose reduced run starts from the banks the certificate flags
+#: and grows its stepped set twice: (p, banks, d, capacity, addresses).
+_GROWS_TWICE = [
+    (2, 7, 2, 1, [1, 3, 5, 4, 4, 4, 1, 5, 5, 5, 2, 5, 5, 0, 4, 1, 0, 0, 5,
+                  1, 2, 4, 5, 1, 4, 1, 4, 3, 6, 2, 6]),
+    (4, 5, 4, 2, [2, 2, 0, 3, 4, 3, 2, 1, 1, 2, 2, 0, 3, 1, 3, 2, 3, 4, 3,
+                  0, 0, 4, 3, 0, 4, 3, 2, 4]),
+]
+
+
+class TestReducedRun:
+    """The fallback steps only the banks that fill: the world is fed
+    the stepped banks' requests, every other request is projected from
+    the issue cycles its stall log rebuilds, and a bank that then fails
+    the certificate joins the stepped set."""
+
+    def test_hotspot_feeds_only_the_hot_bank(self):
+        # The served deck's hotspot row: 64 requests to address 0 on
+        # the capacity-8 J90.  Only bank 0 fills, so the one reduced
+        # run is fed exactly bank 0's load.
+        m = CRAY_J90.with_(queue_capacity=8)
+        addr = hotspot(4096, 64, 1 << 24, seed=11)
+        with _world_runs() as runs:
+            got = _engine(m, addr, "event")
+        assert [n_fed for n_fed, _ in runs] == [got.bank_loads[0]]
+        assert got.stalled_cycles > 0
+        _assert_identical(got, _tick(m, addr))
+
+    @pytest.mark.parametrize("p,n_banks,d,capacity,addr", _GROWS_TWICE)
+    def test_stepped_set_grows_twice(self, p, n_banks, d, capacity, addr):
+        m = _small_bounded(p, n_banks, d, capacity)
+        addr = np.asarray(addr)
+        with _world_runs() as runs:
+            got = _engine(m, addr, "batch")
+        fed = [n_fed for n_fed, _ in runs]
+        assert len(fed) == 3 and fed == sorted(set(fed))
+        assert fed[-1] < addr.size
+        _assert_identical(got, _tick(m, addr))
+
+    @given(
+        p=st.integers(1, 4),
+        n_banks=st.integers(2, 9),
+        d=st.integers(1, 3),
+        capacity=st.integers(1, 3),
+        addr=st.lists(st.integers(0, 11), min_size=8, max_size=64),
+        assignment=st.sampled_from(["round_robin", "block"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_growing_rows_match_tick(self, p, n_banks, d, capacity, addr,
+                                     assignment):
+        m = _small_bounded(p, n_banks, d, capacity)
+        addr = np.asarray(addr)
+        with _world_runs() as runs:
+            got = _engine(m, addr, "batch", assignment=assignment)
+        event(f"reduced runs: {len(runs)}")
+        _assert_identical(got, _tick(m, addr, assignment=assignment))
+
+    def test_seeded_sweep_grows_twice(self):
+        # Hypothesis rarely draws a row that grows twice, so a seeded
+        # sweep of the densest shape shows that such rows occur and
+        # stay exact.
+        rng = np.random.default_rng(2024)
+        grew = 0
+        for _ in range(300):
+            n_banks = int(rng.integers(6, 10))
+            m = _small_bounded(int(rng.integers(2, 4)), n_banks, 2, 1)
+            addr = rng.integers(0, n_banks, 64)
+            with _world_runs() as runs:
+                got = _engine(m, addr, "batch")
+            grew += len(runs) >= 3
+            _assert_identical(got, _tick(m, addr))
+        assert grew >= 1
+
+    def test_runaway_in_the_stepped_part(self):
+        # A burst to bank 0 behind 400 requests that never share a
+        # bank: the reduced world reaches max_cycles before the burst
+        # drains, and the full world raises tick's diagnostic.
+        self._check_runaway(burst_first=False, outcome=False)
+
+    def test_runaway_in_the_projection_only(self):
+        # The burst goes first: the reduced world finishes it well
+        # inside max_cycles, but the projected traffic behind it runs
+        # past, and the full world raises tick's diagnostic.
+        self._check_runaway(burst_first=True, outcome=True)
+
+    def _check_runaway(self, burst_first, outcome):
+        m = toy_machine(p=2, x=32, d=6, latency=0, queue_capacity=1)
+        k = np.arange(400)
+        spread = 64 * k + 1 + k % 63  # never bank 0; a bank every 63rd
+        burst = np.zeros(8, dtype=np.int64)
+        addr = np.concatenate([burst, spread] if burst_first
+                              else [spread, burst])
+        with pytest.raises(SimulationError) as want:
+            simulate_scatter_cycle(m, addr, max_cycles=150, engine="tick")
+        for engine in ("event", "batch"):
+            with _world_runs() as runs:
+                with pytest.raises(SimulationError) as got:
+                    simulate_scatter_cycle(m, addr, max_cycles=150,
+                                           engine=engine)
+            assert runs == [[burst.size, outcome], [addr.size, "raised"]]
+            assert str(got.value) == str(want.value)

@@ -49,10 +49,13 @@ echo "== examples smoke =="
 PYTHONPATH=src python -m pytest -x -q tests/test_examples.py
 
 echo "== router smoke =="
+# A predict, and a simulate whose capacity-8 queues fill (zipf 1.2
+# through h1), so a worker runs the projector's reduced run.
 printf '%s\n' \
     '{"op": "predict", "machine": "j90", "pattern": {"kind": "hotspot", "n": 1024, "k": 16}}' \
+    '{"op": "simulate", "engine": "event", "machine": {"base": "j90", "queue_capacity": 8}, "bank_map": "h1", "pattern": {"kind": "zipf", "n": 4096, "alpha": 1.2}}' \
     | PYTHONPATH=src python -m repro.serving --workers 2 --flush-ms 1 \
-    | grep -q '"status": "ok"'
+    | grep -c '"status": "ok"' | grep -qx 2
 echo "router smoke: ok"
 
 echo "== streaming smoke =="
