@@ -29,7 +29,15 @@ addresses, so a regression names its layer and the scaling shows:
   :class:`~repro.simulator.StreamSimulator` on the same bounded J90 fed
   the uniform scatter in ``STREAM_CHUNK``-address chunks, each chunk
   projected from the carried seeds and certified against the pending
-  requests (stall-free at every size, so the event world never runs).
+  requests (stall-free at every size, so the event world never runs);
+* ``frontend`` — the socket write path: one stop-and-wait round over
+  loopback (send ``window`` pipelined ``predict`` lines, read their
+  answers) against a :class:`~repro.serving.ServingFrontend` over an
+  in-process :class:`~repro.serving.PredictionService` answering from
+  its LRU, keyed by the window (1, 2 and 8) where the other layers are
+  keyed by n.  A round pays no evaluation, so an answer held behind an
+  unacknowledged one (Nagle against the client's delayed ACK, about
+  40 ms) shows here as a layer of its own.
 
 Each timing is the median of ``REPEATS`` runs, reported with its
 quartiles.  Writes ``BENCH_layers.json`` at the repo root.  The file has
@@ -38,12 +46,15 @@ no committed baseline and ``tools/perf_guard.py`` does not gate it.
 
 import json
 import pathlib
+import socket
+import threading
 import time
 
 import numpy as np
 
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_SPACE, j90
 from repro.mapping.hashing import HASH_FAMILIES
+from repro.serving import PredictionService, ServingFrontend
 from repro.simulator import StreamSimulator, fifo_service_times
 from repro.simulator import simulate_scatter_cycle
 from repro.simulator.cycle import _new_acc, _prepare, _world
@@ -58,6 +69,7 @@ SIZES = (1 << 10, 1 << 16, 1 << 20)
 REPEATS = 7
 CAPACITY = 8
 STREAM_CHUNK = 4096
+WINDOWS = (1, 2, 8)
 
 
 def _spread(fn, *args):
@@ -105,6 +117,43 @@ def _stream_bounded(machine, addr):
     return update.result
 
 
+def _frontend_rounds():
+    """One stop-and-wait round's spread per window in ``WINDOWS``."""
+    service = PredictionService(flush_ms=1.0, deadline_ms=None,
+                                disk_cache=False)
+    fe = ServingFrontend(service)
+    thread = threading.Thread(target=fe.serve_forever, daemon=True)
+    thread.start()
+    out = {}
+    try:
+        with socket.create_connection(fe.address) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(60)
+            reader = sock.makefile("rb")
+            for window in WINDOWS:
+                lines = b"".join(json.dumps({
+                    "op": "predict", "machine": "j90",
+                    "pattern": {"kind": "hotspot", "n": 1024,
+                                "k": 2 ** (i + 1)},
+                }).encode() + b"\n" for i in range(window))
+
+                def round_trip():
+                    sock.sendall(lines)
+                    return [reader.readline() for _ in range(window)]
+
+                round_trip()  # fills the LRU
+                # Sanity, not perf: the timed rounds are LRU answers.
+                assert all(json.loads(line)["cached"]
+                           for line in round_trip())
+                out[window] = _spread(round_trip)
+            reader.close()
+    finally:
+        fe.shutdown()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out
+
+
 def test_perf_layers():
     machine = j90()
     d = float(machine.d)
@@ -150,12 +199,14 @@ def test_perf_layers():
                                             want.stalled_cycles)
             assert (got.bank_loads == want.bank_loads).all()
         layers["stream_bounded"][n] = _spread(_stream_bounded, bounded, addr)
+    layers["frontend"] = _frontend_rounds()
 
     BENCH_JSON.write_text(json.dumps({
         "benchmark": "layers",
         "machine": machine.name,
         "queue_capacity": CAPACITY,
         "stream_chunk": STREAM_CHUNK,
+        "frontend_windows": list(WINDOWS),
         "space": DEFAULT_SPACE,
         "repeats": REPEATS,
         "telemetry": "off",

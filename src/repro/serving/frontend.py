@@ -29,6 +29,13 @@ same port, distinguished by the first line a connection sends:
   A peer may half-close after its last line; buffered lines are still
   answered before the connection closes.
 
+Answers leave as soon as they are ready.  Nagle's algorithm is off on
+every accepted socket, so an answer never waits for the peer to
+acknowledge the one before it; the batching Nagle gave is done here
+instead: each loop pass takes every queued answer at once and writes
+each connection it touched with one ``send``, and a completion wakes the
+loop only when the queue was empty.
+
 Shutdown is ordered, fixing the old front end's drop-on-exit: stop
 accepting, take one final read pass over every connection (lines
 already buffered are submitted, not lost), drain the backend
@@ -170,7 +177,9 @@ class ServingFrontend:
             self._listener, selectors.EVENT_READ, "listener"
         )
         # Self-pipe: completion callbacks (arbitrary threads) and
-        # shutdown() wake the selector loop with one byte.
+        # shutdown() wake the selector loop with one byte; a callback
+        # writes it only when it finds _completed empty, since the loop
+        # takes the whole queue in one pass.
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
@@ -280,6 +289,11 @@ class ServingFrontend:
         except OSError:
             return
         sock.setblocking(False)
+        # An answer must leave when it is ready: with Nagle on, one
+        # written behind an unacknowledged one waits for the peer's
+        # delayed ACK (about 40 ms) once a pipelining client stops
+        # sending.  _flush_completed does the batching instead.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = _Conn(sock)
         self._conns[sock] = conn
         self._selector.register(sock, selectors.EVENT_READ, "conn")
@@ -425,9 +439,10 @@ class ServingFrontend:
                 payload += json.dumps(
                     ticket.response.to_dict(), sort_keys=True
                 ).encode() + b"\n"
+            wake = bool(payload) and not self._completed
             if payload:
                 self._completed.append((conn, bytes(payload)))
-        if payload:
+        if wake:
             self._wake()
 
     # -- HTTP ----------------------------------------------------------
@@ -549,10 +564,12 @@ class ServingFrontend:
         conn.closing = True
         with self._lock:
             conn.inflight -= 1
+            wake = not self._completed
             self._completed.append(
                 (conn, self._http_encode(code, payload))
             )
-        self._wake()
+        if wake:
+            self._wake()
 
     # ------------------------------------------------------------------
     # writes
@@ -560,21 +577,25 @@ class ServingFrontend:
 
     def _flush_completed(self) -> None:
         """Move callback-queued payloads into their connections'
-        output buffers (loop thread only)."""
-        while True:
-            with self._lock:
-                if not self._completed:
-                    return
-                conn, payload = self._completed.popleft()
-            if conn.sock not in self._conns:
-                continue  # connection died before its answer arrived
-            conn.outbuf += payload
+        output buffers, in queue order, then write each connection
+        they touched once (loop thread only).  Taking the whole queue
+        empties it, so the next completion wakes the loop again."""
+        with self._lock:
+            if not self._completed:
+                return
+            completed, self._completed = self._completed, deque()
+        touched: Dict[_Conn, None] = {}
+        for conn, payload in completed:
+            if conn.sock in self._conns:  # else it died before its answer
+                conn.outbuf += payload
+                touched[conn] = None
+        for conn in touched:
             self._on_writable(conn)
 
     def _on_writable(self, conn: _Conn) -> None:
         while conn.outbuf:
             try:
-                sent = conn.sock.send(bytes(conn.outbuf))
+                sent = conn.sock.send(conn.outbuf)
             except BlockingIOError:
                 break
             except OSError:

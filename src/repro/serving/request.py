@@ -111,6 +111,10 @@ PATTERN_KINDS: Dict[str, Tuple[str, ...]] = {
     "multi_hotspot": ("n", "n_hot", "hot_fraction", "space", "seed"),
     "zipf": ("n", "space", "alpha", "seed"),
 }
+_GENERATORS: Dict[str, Callable[..., np.ndarray]] = {
+    "hotspot": hotspot, "uniform": uniform_random, "broadcast": broadcast,
+    "stride": strided, "multi_hotspot": multi_hotspot, "zipf": zipf_pattern,
+}
 
 #: status name -> HTTP-style numeric code.  ``overloaded`` (429) is
 #: load shedding — retry later and the service will answer; ``closed``
@@ -319,9 +323,17 @@ def resolve_pattern(
     pattern: Optional[Dict[str, Any]],
     addresses: Optional[Sequence[int]],
 ) -> np.ndarray:
-    """Materialize a request's access pattern as an int64 address array."""
+    """Materialize a request's access pattern as an int64 address array.
+
+    Explicit addresses and generated patterns alike pass through
+    :func:`~repro._util.as_addresses`, so they are refused as the
+    library refuses them (non-integral floats, strings, bools, negative
+    values; a generated stride that wraps int64 turns negative) with a
+    :class:`PatternError`; a generator spec numpy cannot draw from
+    raises :class:`ParameterError`.
+    """
     if addresses is not None:
-        return as_addresses(np.asarray(addresses, dtype=np.int64))
+        return as_addresses(addresses)
     if not isinstance(pattern, dict) or "kind" not in pattern:
         raise ParameterError("pattern must be a dict with a 'kind' field")
     spec = dict(pattern)
@@ -343,19 +355,16 @@ def resolve_pattern(
     if "space" in PATTERN_KINDS[kind]:
         spec.setdefault("space", _DEFAULT_SPACE)
     try:
-        if kind == "hotspot":
-            return hotspot(**spec)
-        if kind == "uniform":
-            return uniform_random(**spec)
-        if kind == "broadcast":
-            return broadcast(**spec)
-        if kind == "stride":
-            return strided(**spec)
-        if kind == "multi_hotspot":
-            return multi_hotspot(**spec)
-        return zipf_pattern(**spec)
-    except TypeError as exc:
-        raise ParameterError(f"bad pattern spec for {kind!r}: {exc}") from None
+        addr = _GENERATORS[kind](**spec)
+    except ParameterError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        # numpy's own refusals: a negative seed, a space or address
+        # past int64.
+        raise ParameterError(
+            f"bad pattern spec for {kind!r}: {exc}"
+        ) from None
+    return as_addresses(addr)
 
 
 def resolve_bank_map(kind: str, seed: int) -> Optional[BankMap]:

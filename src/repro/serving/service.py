@@ -75,7 +75,7 @@ import numpy as np
 from .._util import as_addresses
 from ..core.contention import BankMap, max_location_contention
 from ..core.cost import predict_scatter_bsp, predict_scatter_dxbsp
-from ..errors import ParameterError
+from ..errors import ParameterError, PatternError
 from ..experiments import runner
 from ..simulator.dispatch import simulate_scatter_engine
 from ..simulator.machine import MachineConfig
@@ -626,12 +626,12 @@ class PredictionService(ServingBackend):
     def submit(self, request: Any) -> Ticket:
         """Admit one request; returns a :class:`Ticket` immediately.
 
-        A dict is parsed/validated first; an invalid request, or
-        anything that is not a request at all, is answered
-        ``bad-request`` (400), and any other failure while admitting it
-        ``error`` (500).  Cache hits resolve the ticket before this
-        returns; everything else resolves once its micro-batch flushes
-        (or sheds/expires).
+        A dict is parsed/validated first; an invalid request (a bad
+        field, or a pattern the library refuses), or anything that is
+        not a request at all, is answered ``bad-request`` (400), and
+        any other failure while admitting it ``error`` (500).  Cache
+        hits resolve the ticket before this returns; everything else
+        resolves once its micro-batch flushes (or sheds/expires).
         """
         with self._lock:
             self._stats.received += 1
@@ -641,7 +641,7 @@ class PredictionService(ServingBackend):
             else:
                 request = request_from_dict(request)
             return self._admit(request)
-        except ParameterError as exc:
+        except (ParameterError, PatternError) as exc:
             with self._lock:
                 self._stats.invalid += 1
             return Ticket.answered(
@@ -760,9 +760,9 @@ class PredictionService(ServingBackend):
         session must exist before the caller's next chunk is admitted —
         while ``chunk``/``close`` ride the FIFO queue, so the single
         dispatcher thread applies them in submit order.  A
-        :class:`ParameterError` raised here (bad machine/pattern, a
-        machine the streaming simulator refuses) is answered 400 by
-        :meth:`submit`."""
+        :class:`ParameterError` or :class:`PatternError` raised here
+        (bad machine/pattern, a machine the streaming simulator
+        refuses) is answered 400 by :meth:`submit`."""
         assert req.stream_id is not None
         sid = req.stream_id
         ticket = _SlotTicket(self, req, 1, None, ())

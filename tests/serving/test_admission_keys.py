@@ -1,12 +1,14 @@
 """Admission details: each served point is keyed once, and a mistyped
-deadline is the client's 400 on both backends."""
+deadline or a pattern the library refuses is the client's 400 on both
+backends."""
 
 import pytest
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, PatternError
 from repro.experiments import runner
 from repro.serving import PredictionService, ShardRouter
 from repro.serving.service import evaluate_point
+from repro.simulator import simulate_scatter, toy_machine
 
 N = 1024
 
@@ -68,3 +70,60 @@ class TestMistypedDeadline:
             assert backend.call(BASE, timeout=120).ok
         assert resp.code == 400 and resp.status == "bad-request"
         assert "deadline_ms" in resp.error
+
+
+def _backend(workers):
+    kwargs = dict(flush_ms=1.0, deadline_ms=None, disk_cache=False)
+    return (PredictionService(**kwargs) if workers == 1
+            else ShardRouter(workers, **kwargs))
+
+
+class TestExplicitAddresses:
+    @pytest.mark.parametrize("addresses", [[1.5, 2.7], ["3", "4"],
+                                           [True, False]],
+                             ids=["fraction", "string", "bool"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refused_as_the_library_refuses_them(self, addresses, workers):
+        with pytest.raises(PatternError):
+            simulate_scatter(toy_machine(), addresses)
+        stream = {"op": "stream", "stream_id": "s"}
+        with _backend(workers) as backend:
+            one_shot = backend.call({"op": "simulate", "machine": "toy",
+                                     "addresses": addresses}, timeout=120)
+            assert backend.call({**stream, "action": "open",
+                                 "machine": "toy"}, timeout=120).ok
+            chunk = backend.call({**stream, "action": "chunk",
+                                  "addresses": addresses}, timeout=120)
+            # The refused chunk left the session as it was.
+            assert backend.call({**stream, "action": "chunk",
+                                 "addresses": [1, 2]}, timeout=120).ok
+            closed = backend.call({**stream, "action": "close"},
+                                  timeout=120)
+        for resp in (one_shot, chunk):
+            assert resp.code == 400 and resp.status == "bad-request"
+            assert "addresses must be integers" in resp.error
+        assert closed.ok and closed.result["n"] == 2
+
+
+class TestPatternInputErrors:
+    """A pattern the client got wrong is a 400, not the server's 500."""
+
+    @pytest.mark.parametrize("spec", [
+        {"addresses": [-1]},
+        {"addresses": [2 ** 70]},
+        {"pattern": {"kind": "broadcast", "n": 16, "address": 2 ** 70}},
+        {"pattern": {"kind": "uniform", "n": 16, "seed": -1}},
+        {"pattern": {"kind": "uniform", "n": 16, "space": 2 ** 70}},
+        # base + i * stride wraps int64 to negative addresses.
+        {"pattern": {"kind": "stride", "n": 4096, "stride": 2 ** 62}},
+    ], ids=["negative", "huge-address", "huge-broadcast", "negative-seed",
+            "huge-space", "wrapping-stride"])
+    def test_answers_400(self, spec):
+        with _backend(1) as svc:
+            resp = svc.call({"op": "simulate", "machine": "toy", **spec},
+                            timeout=120)
+            assert svc.call(BASE, timeout=120).ok
+        assert resp.code == 400 and resp.status == "bad-request"
+        assert resp.error
+        stats = svc.stats()
+        assert (stats.invalid, stats.failed) == (1, 0)

@@ -1,18 +1,29 @@
 """Selector-frontend tests: both wire protocols on one port, in-order
-NDJSON streaming, half-close handling, and the ordered shutdown — in
+NDJSON streaming, half-close handling, the write path (answers leave
+when ready, batched per loop pass) and the ordered shutdown — in
 particular the close-during-flush race: requests already parked in the
 micro-batcher when ``shutdown()`` is called must still be answered and
 written before the socket closes.
 """
 
+import dataclasses
 import json
+import queue
 import socket
+import statistics
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.serving import PredictionService, ServingFrontend, ShardRouter
+from repro.serving import (
+    PredictionService,
+    ServeResponse,
+    ServingFrontend,
+    ShardRouter,
+    Ticket,
+)
 
 N = 1024
 
@@ -262,3 +273,258 @@ class TestShutdown:
         fe, _service, _thread = frontend
         fe.shutdown()
         fe.shutdown()
+
+
+def _answer(request):
+    return ServeResponse(status="ok", code=200, op=request.get("op", ""),
+                         engine="", machine="",
+                         request_id=request.get("request_id"))
+
+
+class _Staggered:
+    """A backend that answers each pair of requests about 2 ms apart:
+    the first at submit, the second from a timer."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, request):
+        self.submitted += 1
+        if self.submitted % 2:
+            return Ticket.answered(_answer(request))
+        ticket = Ticket(request.get("request_id"))
+        timer = threading.Timer(0.002, ticket._resolve, (_answer(request),))
+        timer.daemon = True
+        timer.start()
+        return ticket
+
+    def close(self):
+        pass
+
+
+class _Gated:
+    """A backend that holds each ticket for the test to resolve; a
+    request with op ``gate`` blocks the loop thread inside ``submit``
+    until the test releases it, then is answered at once."""
+
+    def __init__(self):
+        self.tickets = []
+        self.blocked = threading.Event()
+        self.release = threading.Event()
+
+    def submit(self, request):
+        if request.get("op") == "gate":
+            self.blocked.set()
+            assert self.release.wait(60)
+            return Ticket.answered(_answer(request))
+        ticket = Ticket(request.get("request_id"))
+        self.tickets.append((ticket, _answer(request)))
+        return ticket
+
+    def close(self):
+        for ticket, response in self.tickets:
+            ticket._resolve(response)
+
+
+class _Resolver:
+    """A backend that answers from ``threads`` threads of its own, each
+    answer padded to about ``pad`` bytes; one thread answers in submit
+    order."""
+
+    def __init__(self, pad, threads=1):
+        self.pad = "x" * pad
+        self.submitted = 0
+        self._queue = queue.Queue()
+        for _ in range(threads):
+            threading.Thread(target=self._run, daemon=True).start()
+
+    def _run(self):
+        while True:
+            ticket, response = self._queue.get()
+            ticket._resolve(response)
+
+    def submit(self, request):
+        self.submitted += 1
+        ticket = Ticket(request.get("request_id"))
+        response = dataclasses.replace(_answer(request),
+                                       result={"pad": self.pad})
+        self._queue.put((ticket, response))
+        return ticket
+
+    def close(self):
+        pass
+
+
+class _Unhurried:
+    """A selector whose ``select`` ignores its timeout: the loop then
+    wakes only for an event, so a lost wake hangs it instead of costing
+    one poll interval."""
+
+    def __init__(self, selector):
+        self._selector = selector
+
+    def select(self, timeout=None):
+        return self._selector.select(None)
+
+    def __getattr__(self, name):
+        return getattr(self._selector, name)
+
+
+@pytest.fixture()
+def serve():
+    """Start a frontend over a given backend; shut each down on exit."""
+    running = []
+
+    def start(backend, unhurried=False):
+        fe = ServingFrontend(backend, metrics=lambda: {})
+        if unhurried:
+            fe._selector = _Unhurried(fe._selector)
+        thread = threading.Thread(target=fe.serve_forever, daemon=True)
+        thread.start()
+        running.append((fe, thread))
+        return fe
+
+    yield start
+    for fe, thread in running:
+        fe.shutdown()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+@pytest.fixture()
+def sends(monkeypatch):
+    """Every ``socket.send`` in this process, logged before it runs:
+    [socket, bytes offered, bytes taken (-1 until it returns, and when
+    the buffer was full)]."""
+    log = []
+    real = socket.socket.send
+
+    def send(sock, data, *args):
+        entry = [sock, len(data), -1]
+        log.append(entry)
+        entry[2] = real(sock, data, *args)
+        return entry[2]
+
+    monkeypatch.setattr(socket.socket, "send", send)
+    return log
+
+
+def _median_round_ms(address, rounds=20):
+    """Median of ``rounds`` stop-and-wait rounds: send two pipelined
+    lines, read both answers."""
+    times = []
+    with socket.create_connection(address) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(60)
+        with sock.makefile("rb") as reader:
+            for r in range(rounds):
+                ids = [f"r{2 * r}", f"r{2 * r + 1}"]
+                t0 = time.perf_counter()
+                sock.sendall(b"".join(
+                    json.dumps(_request(i % 2, request_id=rid)).encode()
+                    + b"\n" for i, rid in enumerate(ids)))
+                got = [json.loads(reader.readline())["request_id"]
+                       for _ in ids]
+                times.append(time.perf_counter() - t0)
+                assert got == ids
+    return statistics.median(times) * 1000.0
+
+
+class TestWritePath:
+    def test_accepted_sockets_turn_nagle_off(self, frontend):
+        fe, _service, _thread = frontend
+        with socket.create_connection(fe.address) as sock:
+            sock.settimeout(60)
+            with sock.makefile("rb") as reader:
+                sock.sendall(json.dumps(_request(0)).encode() + b"\n")
+                assert json.loads(reader.readline())["status"] == "ok"
+            conns = list(fe._conns)
+            assert len(conns) == 1
+            assert conns[0].getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+
+    def test_pipelined_pair_is_not_held(self, frontend):
+        """Two lines answered at once from the LRU: a send behind an
+        unacknowledged one would wait out the peer's delayed ACK."""
+        fe, _service, _thread = frontend
+        assert _median_round_ms(fe.address) < 20.0
+
+    def test_answers_ready_apart_are_not_held(self, serve):
+        """Answers resolving 2 ms apart leave in two sends; only Nagle
+        off keeps the second from waiting for the first's ACK."""
+        fe = serve(_Staggered())
+        assert _median_round_ms(fe.address) < 20.0
+
+    def test_one_send_and_one_wake_per_loop_pass(self, serve, sends):
+        backend = _Gated()
+        fe = serve(backend)
+        with socket.create_connection(fe.address) as sock:
+            sock.settimeout(60)
+            sock.sendall(b"".join(
+                json.dumps(_request(i, op=op)).encode() + b"\n"
+                for i, op in enumerate(["predict", "predict", "gate"])))
+            # The loop is inside the gate's submit: answers completed
+            # now wait for one flush at the end of this loop pass.
+            assert backend.blocked.wait(60)
+            for ticket, response in backend.tickets:
+                ticket._resolve(response)
+            backend.release.set()
+            with sock.makefile("rb") as reader:
+                lines = [reader.readline() for _ in range(3)]
+            assert [json.loads(line)["request_id"] for line in lines] \
+                == ["r0", "r1", "r2"]
+            answers = [entry for entry in sends
+                       if entry[0] is not fe._wake_w]
+            wakes = [entry for entry in sends if entry[0] is fe._wake_w]
+        # One send offered all three answers; one completion woke the
+        # loop.
+        assert [offered for _sock, offered, _taken in answers] \
+            == [sum(map(len, lines))]
+        assert len(wakes) == 1
+
+    def test_slow_reader_gets_every_answer_once_in_order(self, serve,
+                                                         sends):
+        """Answers of 16 KB to 500 pipelined lines overrun the socket
+        buffers of a reader that reads nothing until all are owed, so
+        coalesced buffers go out in parts."""
+        backend = _Resolver(pad=16_000)
+        fe = serve(backend)
+        count = 500
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(fe.address)
+            sock.settimeout(60)
+            sock.sendall(b"".join(json.dumps(_request(i)).encode() + b"\n"
+                                  for i in range(count)))
+            sock.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + 60
+            while backend.submitted < count:
+                assert time.monotonic() < deadline, "requests not all owed"
+                time.sleep(0.01)
+            lines = _recv_all(sock).splitlines()
+        assert [json.loads(line)["request_id"] for line in lines] == \
+            [f"r{i}" for i in range(count)]
+        assert any(sent < offered for sock, offered, sent in sends
+                   if sock is not fe._wake_w)
+
+    def test_racing_completions_lose_no_wake(self, serve):
+        """Stress: four resolver threads on a short switch interval race
+        each other and the loop for the completion queue.  The loop
+        waits for events with no timeout here, so an answer queued
+        without a wake the loop sees hangs the client."""
+        fe = serve(_Resolver(pad=0, threads=4), unhurried=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with socket.create_connection(fe.address) as sock:
+                sock.settimeout(10)
+                with sock.makefile("rb") as reader:
+                    for r in range(500):
+                        ids = [f"r{8 * r + i}" for i in range(8)]
+                        sock.sendall(b"".join(
+                            json.dumps(_request(0, request_id=rid)).encode()
+                            + b"\n" for rid in ids))
+                        assert [json.loads(reader.readline())["request_id"]
+                                for _ in ids] == ids
+        finally:
+            sys.setswitchinterval(interval)
